@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -103,6 +104,8 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
         raise UsageError(f"cannot parse point: {exc}") from None
     if len(vals) != dim:
         raise UsageError(f"point needs {dim} coordinates, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError("point coordinates must be finite")
     return np.array(vals)
 
 
@@ -115,19 +118,26 @@ def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        rows = [[float(v) for v in line.split()]
-                for line in text.splitlines() if line.strip()]
-        pts = np.array(rows)
+        try:
+            pts = np.array([[float(v) for v in line.split()]
+                            for line in text.splitlines() if line.strip()])
+        except ValueError as exc:
+            raise UsageError(f"cannot parse points in {path}: {exc}") from None
     else:
         if not isinstance(data, dict) or "frac" not in data:
             raise UsageError(f"{path} must contain a 'frac' key")
-        pts = np.array(data["frac"], dtype=float)
+        try:
+            pts = np.array(data["frac"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"cannot parse points in {path}: {exc}") from None
         if "labels" in data and data["labels"] is not None:
             labels = tuple(str(x) for x in data["labels"])
     if pts.ndim != 2 or pts.shape[1] != basis.dim:
         raise UsageError(
             f"points in {path} must be {basis.dim}-dimensional rows"
         )
+    if not np.all(np.isfinite(pts)):
+        raise UsageError(f"points in {path} must be finite")
     return PeriodicPointSet(basis=basis, points=pts, labels=labels)
 
 
@@ -402,8 +412,8 @@ def _dispatch(args) -> int:
 
     if cmd == "neighbors":
         b = _resolve_basis(args, "lattice")
-        if not args.cutoff > 0:
-            raise UsageError("--cutoff must be positive")
+        if not (args.cutoff > 0 and math.isfinite(args.cutoff)):
+            raise UsageError("--cutoff must be positive and finite")
         ps = _load_points(args.points, b)
         hits = neighbors_within(ps, args.cutoff)
         if args.format == "csv":
@@ -466,3 +476,7 @@ def _check_block_sufficiency(cell: Basis, lattice: Basis, layers, samples: int =
         if d_small - d_big > 1e-12 * max(1.0, d_big):
             return (list(p1), list(p2))
     return None
+
+
+if __name__ == "__main__":
+    main()

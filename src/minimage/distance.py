@@ -8,6 +8,18 @@ strongly anisotropic 3D lattices need an extra layer on one axis, and
 sizing the block from the extents keeps the result exact there too.  The
 witness image is mapped back through the unimodular transform so results
 are stated in the caller's coordinates.
+
+The many-point kernels loop over the images of the block, not over point
+pairs.  For a chunk of rows they hold per-component difference arrays
+(rows, N) and, per image, add the shift, square and sum in place; the
+matrix keeps a running minimum, the neighbor list keeps the entries within
+the cutoff.  The squares are summed in the order ``(x ** 2).sum(-1)`` uses,
+so the results are bit-identical to the direct broadcast formula.  The
+matrix computes the upper triangle and mirrors it, which is exact because
+the block is symmetric.  The neighbor list skips every image with
+|s| > cutoff + diameter of the reduced cell, since no difference of two
+points in that cell is longer than its diameter.  Rows are chunked so each
+temporary array holds at most ``_CHUNK`` entries, whatever N is.
 """
 
 from __future__ import annotations
@@ -24,6 +36,12 @@ from . import copies, reduction, voronoi
 # Images within this relative window of the minimum count as ties; the one
 # with the lexicographically smallest coefficient vector is reported.
 TIE_REL = 1e-12
+# Entries per row chunk of the pairwise and neighbor kernels.  Each of
+# their temporary arrays holds at most this many floats, whatever N is.
+_CHUNK = 1 << 14
+# Relative slack on the image pruning bound of neighbors_within, far above
+# the rounding in the computed shift lengths and cell diameter.
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +58,8 @@ class PeriodicPointSet:
             raise ValueError(
                 f"points must have shape (N, {self.basis.dim}), got {pts.shape}"
             )
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         pts = wrap_frac(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -91,12 +111,16 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     over the searched block; exact ties return the lexicographically
     smallest coefficient vector.
     """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
+        raise ValueError("points must be finite")
     red, t = _reduced_search_block(b)
     rm = red.basis.matrix
     u = red.transform
     uinv = unimodular_inverse(u)
-    f1 = uinv @ np.asarray(p1, dtype=float)
-    f2 = uinv @ np.asarray(p2, dtype=float)
+    f1 = uinv @ p1
+    f2 = uinv @ p2
     w1 = np.floor(f1).astype(np.int64)
     w2 = np.floor(f2).astype(np.int64)
     d1 = f1 - w1
@@ -106,6 +130,37 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     images = (t + (w1 - w2)[None, :]) @ u.T
     k, img = _pick_image(dd, images)
     return DistanceResult(distance=float(math.sqrt(dd[k])), image=LatticeVector(img))
+
+
+def _row_chunks(cart: np.ndarray):
+    """Row chunks of the upper block of all point differences.
+
+    Yields (start, stop, diff) with diff[c, a, b] = cart[start + b, c] -
+    cart[start + a, c] for the rows start <= start + a < stop and the
+    columns start <= start + b < N.  Each chunk holds at most _CHUNK
+    (row, column) entries per component.
+    """
+    npts = len(cart)
+    rows = max(1, _CHUNK // max(1, npts))
+    for start in range(0, npts, rows):
+        stop = min(npts, start + rows)
+        yield start, stop, cart[start:].T[:, None, :] - cart[start:stop].T[:, :, None]
+
+
+def _sq_norm(diff: np.ndarray, s: np.ndarray, out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """out = |diff + s|^2, summing the squares in component order.
+
+    That is the order ``(x ** 2).sum(axis=-1)`` and ``np.linalg.norm`` use
+    on a length-n last axis, so the kernels reproduce their bits exactly.
+    """
+    np.add(diff[0], s[0], out=out)
+    np.multiply(out, out, out=out)
+    for c in range(1, len(s)):
+        np.add(diff[c], s[c], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
 
 
 def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
@@ -118,12 +173,17 @@ def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
     npts = len(fr)
     out = np.empty((npts, npts))
     cart = fr @ rm.T
-    chunk = max(1, 4_000_000 // (npts * len(t) + 1))
-    for start in range(0, npts, chunk):
-        stop = min(npts, start + chunk)
-        diff = (cart[None, start:stop, None, :] - cart[:, None, None, :]
-                + shifts[None, None, :, :])
-        out[:, start:stop] = np.sqrt((diff ** 2).sum(axis=-1)).min(axis=-1)
+    for start, stop, diff in _row_chunks(cart):
+        sq = np.empty(diff.shape[1:])
+        tmp = np.empty_like(sq)
+        best = np.full_like(sq, np.inf)
+        for s in shifts:
+            np.minimum(best, _sq_norm(diff, s, sq, tmp), out=best)
+        np.sqrt(best, out=best)
+        out[start:stop, start:] = best
+        # The block is symmetric (image -t next to t) and negating a
+        # difference is exact, so the lower triangle mirrors the upper.
+        out[stop:, start:stop] = best[:, stop - start:].T
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -136,10 +196,11 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     the zero image of a point with itself is not a neighbor.  The search
     block is sized so no image within the cutoff can be missed:
     layers_k = ceil((cutoff + diam V) / width_k) with width_k the slab
-    width of the reduced cell along dual axis k.
+    width of the reduced cell along dual axis k.  Hits are sorted by
+    (i, j, distance, image coefficients).
     """
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
+    if not (cutoff > 0 and math.isfinite(cutoff)):
+        raise ValueError("cutoff must be positive and finite")
     red = reduction.reduce(ps.basis)
     rm = red.basis.matrix
     u = red.transform
@@ -153,18 +214,41 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     layers = [math.ceil((cutoff + diam) / wd) for wd in widths]
     t = _offset_grid(layers)
     shifts = t @ rm.T
+    # A difference of two points of the reduced cell is no longer than its
+    # diameter, so an image with |s| > cutoff + diameter holds no hit.
+    reach = (cutoff + red.basis.diameter()) * (1.0 + _PRUNE_SLACK)
+    kept = np.flatnonzero(np.linalg.norm(shifts, axis=1) <= reach)
 
-    hits: list[tuple[int, int, LatticeVector, float]] = []
-    npts = len(fr)
     cart = fr @ rm.T
-    for i in range(npts):
-        for j in range(i, npts):
-            d = np.linalg.norm(cart[j] - cart[i] + shifts, axis=1)
-            for k in np.flatnonzero(d <= cutoff):
-                img = u @ (t[k] + w[i] - w[j])
-                if i == j and not img.any():
-                    continue
-                hits.append((i, j, LatticeVector(tuple(int(x) for x in img)),
-                             float(d[k])))
-    hits.sort(key=lambda h: (h[0], h[1], h[3], h[2].coeffs))
-    return hits
+    found_i, found_j, found_k, found_d = [], [], [], []
+    for start, stop, diff in _row_chunks(cart):
+        d = np.empty(diff.shape[1:])
+        tmp = np.empty_like(d)
+        hit = np.empty(d.shape, dtype=bool)
+        cols = np.arange(d.shape[1])
+        upper = cols >= np.arange(d.shape[0])[:, None]
+        strict = cols > np.arange(d.shape[0])[:, None]
+        for k in kept:
+            np.sqrt(_sq_norm(diff, shifts[k], d, tmp), out=d)
+            np.less_equal(d, cutoff, out=hit)
+            hit &= upper if t[k].any() else strict
+            a, b = np.nonzero(hit)
+            found_i.append(a + start)
+            found_j.append(b + start)
+            found_k.append(np.full(len(a), k))
+            found_d.append(d[a, b])
+    if not any(len(x) for x in found_d):
+        return []
+    i = np.concatenate(found_i)
+    j = np.concatenate(found_j)
+    dist = np.concatenate(found_d)
+    img = (t[np.concatenate(found_k)] + w[i] - w[j]) @ u.T
+    # One integer key per image, ordered as the coefficient tuples are.
+    lo = img.min(axis=0)
+    key = np.ravel_multi_index((img - lo).T, img.max(axis=0) - lo + 1)
+    order = np.lexsort((key, dist, i * len(cart) + j))
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    vectors = [LatticeVector(tuple(row)) for row in img[first].tolist()]
+    return list(zip(i[order].tolist(), j[order].tolist(),
+                    [vectors[x] for x in which[order].tolist()],
+                    dist[order].tolist()))

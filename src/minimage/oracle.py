@@ -90,6 +90,12 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int,
     None if no witness is found.  Candidate pairs come from images of the
     Voronoi cell's vertices (nudged inward, since exact vertex pairs are
     distance ties) and from all pairs of a per-axis fractional grid.
+
+    When layers[axis] == 1 the reduced block has no copies at all along
+    that axis, and a witness is almost always found.  Its gap then shows
+    only that zero layers on that axis fail; it says nothing about whether
+    the 3^n block (one layer per axis) is sufficient.  Check that claim
+    directly, for example against a larger block.
     """
     counts = copies_mod.copy_counts(cell, lattice)
     n = cell.dim

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,47 @@ def test_verify_matrix_and_neighbors(capsys, tmp_path):
     assert run(["neighbors", "--lattice", "identity2", "--points", str(pts),
                 "--cutoff", "1.0", "--verify"]) == 0
     assert "verify: ok" in capsys.readouterr().err
+
+
+def test_non_finite_points_and_cutoff_are_usage_errors(capsys, tmp_path):
+    assert run(["dist", "--lattice", "identity2", "--p1", "nan 0.1",
+                "--p2", "0.9 0.1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert run(["dist", "--lattice", "identity2", "--p1", "0.1 0.1",
+                "--p2", "inf 0.1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.1 0.1\n0.7 0.3\n")
+    assert run(["neighbors", "--lattice", "identity2", "--points", str(pts),
+                "--cutoff", "inf"]) == 2
+    assert "cutoff" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"frac": [[0.1, 0.1], ["NaN", 0.3]]}))
+    assert run(["matrix", "--lattice", "identity2", "--points", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("0.1 0.1\n0.7\n")
+    assert run(["matrix", "--lattice", "identity2", "--points", str(ragged)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def run_module(module, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["minimage.cli", "minimage"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = run_module(module, "dist", "--lattice", "identity2",
+                      "--p1", "0.1 0.1", "--p2", "0.9 0.1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"distance": 0.2, "image": [-1, 0]}
+
+
+def test_python_dash_m_bad_arguments_exit_2():
+    proc = run_module("minimage.cli", "dist", "--lattice", "identity2", "--p1", "0 0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""

@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import minimage as mi
 
-from conftest import HEX_2D, SKEW_2D, random_cond_basis, random_unimodular
-from minimage.core import unimodular_inverse, wrap_frac
+from conftest import (HEX_2D, REDUCED_BUT_H_ABOVE_1, SKEW_2D, random_cond_basis,
+                      random_unimodular)
+from minimage import distance
+from minimage.core import LatticeVector, unimodular_inverse, wrap_frac
 
 
 def test_wraparound_distance(identity2):
@@ -212,3 +215,137 @@ def test_point_set_rejects_bad_shapes(identity2):
 def test_point_set_labels(identity2):
     ps = mi.PeriodicPointSet(identity2, [[0.1, 0.2], [0.3, 0.4]], labels=["u", "v"])
     assert ps.labels == ("u", "v")
+
+
+# --- kernels against the direct broadcast formula -----------------------------
+
+
+def reference_pairwise(ps):
+    """All pairs and all images at once, squares summed by ``sum(-1)``."""
+    red, t = distance._reduced_search_block(ps.basis)
+    rm = red.basis.matrix
+    cart = wrap_frac(ps.points @ unimodular_inverse(red.transform).T) @ rm.T
+    diff = (cart[None, :, None, :] - cart[:, None, None, :]
+            + (t @ rm.T)[None, None, :, :])
+    out = np.sqrt((diff ** 2).sum(axis=-1)).min(axis=-1)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def reference_neighbors(ps, cutoff):
+    """One pair at a time over the whole cutoff block, one record per hit."""
+    red = mi.reduce(ps.basis)
+    rm, u = red.basis.matrix, red.transform
+    fred = ps.points @ unimodular_inverse(u).T
+    w = np.floor(fred).astype(np.int64)
+    cart = (fred - w) @ rm.T
+    diam = mi.voronoi_cell(red.basis).diameter()
+    widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)
+    ranges = [range(-m, m + 1) for m in
+              (math.ceil((cutoff + diam) / wd) for wd in widths)]
+    t = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+    shifts = t @ rm.T
+    hits = []
+    for i in range(len(ps)):
+        for j in range(i, len(ps)):
+            d = np.linalg.norm(cart[j] - cart[i] + shifts, axis=1)
+            for k in np.flatnonzero(d <= cutoff):
+                img = u @ (t[k] + w[i] - w[j])
+                if i == j and not img.any():
+                    continue
+                hits.append((i, j, LatticeVector(tuple(int(x) for x in img)),
+                             float(d[k])))
+    hits.sort(key=lambda h: (h[0], h[1], h[3], h[2].coeffs))
+    return hits
+
+
+def kernel_cases():
+    rng = np.random.default_rng(47)
+    cases = [(mi.validate_basis(np.eye(2)), rng.random((1, 2)), 1.5),
+             (mi.validate_basis(np.eye(3)), rng.random((1, 3)), 2.5),
+             (mi.validate_basis(HEX_2D), rng.random((6, 2)), 1.01),
+             (mi.validate_basis(REDUCED_BUT_H_ABOVE_1), rng.random((25, 3)), 0.05)]
+    for n, cond, npts in ((2, 1.0, 30), (2, 100.0, 17), (3, 1.0, 30), (3, 300.0, 12)):
+        b = random_cond_basis(rng, n, cond)
+        cutoff = 1.2 * abs(b.det) ** (1.0 / n)
+        cases.append((b, rng.random((npts, n)), cutoff))
+    return cases
+
+
+@pytest.mark.parametrize("b, pts, cutoff", kernel_cases())
+def test_kernels_match_reference_exactly(b, pts, cutoff):
+    ps = mi.PeriodicPointSet(b, pts)
+    assert np.array_equal(mi.pairwise_distances(ps), reference_pairwise(ps))
+    assert mi.neighbors_within(ps, cutoff) == reference_neighbors(ps, cutoff)
+
+
+def test_kernels_chunked_rows_give_the_same_output(monkeypatch):
+    rng = np.random.default_rng(48)
+    b = random_cond_basis(rng, 3, 20.0)
+    ps = mi.PeriodicPointSet(b, rng.random((23, 3)))
+    cutoff = 1.1 * abs(b.det) ** (1.0 / 3)
+    whole = mi.pairwise_distances(ps), mi.neighbors_within(ps, cutoff)
+    monkeypatch.setattr(distance, "_CHUNK", 40)  # one or two rows per chunk
+    mat = mi.pairwise_distances(ps)
+    assert np.array_equal(mat, whole[0])
+    assert np.array_equal(mat, reference_pairwise(ps))
+    assert mi.neighbors_within(ps, cutoff) == whole[1] == reference_neighbors(ps, cutoff)
+
+
+def test_neighbors_reach_beyond_one_layer_and_self_images(identity3):
+    ps = mi.PeriodicPointSet(identity3, [[0.1, 0.2, 0.3], [0.6, 0.6, 0.6]])
+    hits = mi.neighbors_within(ps, 2.5)
+    assert hits == reference_neighbors(ps, 2.5)
+    assert max(max(map(abs, h[2].coeffs)) for h in hits) == 2
+    self_images = {h[2].coeffs for h in hits if h[0] == h[1] == 0}
+    assert (0, 0, 0) not in self_images
+    assert (2, 0, 0) in self_images and (-2, 0, 0) in self_images
+
+
+def test_neighbors_empty_result_matches_reference(identity3):
+    ps = mi.PeriodicPointSet(identity3, [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]])
+    assert mi.neighbors_within(ps, 0.5) == reference_neighbors(ps, 0.5) == []
+
+
+def test_neighbors_hit_just_inside_the_pruning_bound(identity2):
+    # Points at opposite corners of the cell: the image (-2, -2) lies
+    # within 1.5e-6 of cutoff + diameter and still holds a hit.
+    eps = 1e-6
+    ps = mi.PeriodicPointSet(identity2, [[0.0, 0.0], [1 - eps, 1 - eps]])
+    cutoff = math.sqrt(2.0) * (1 + eps) + 1e-12
+    hits = mi.neighbors_within(ps, cutoff)
+    assert hits == reference_neighbors(ps, cutoff)
+    far = [h for h in hits if h[2].coeffs == (-2, -2)]
+    assert len(far) == 1 and far[0][:2] == (0, 1)
+    margin = (cutoff + mi.reduce(identity2).basis.diameter()
+              - np.linalg.norm(identity2.matrix @ np.array([-2.0, -2.0])))
+    assert 0 < margin < 1.5e-6
+
+
+# --- non-finite input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_min_image_distance_rejects_non_finite_points(identity2, bad):
+    with pytest.raises(ValueError, match="finite"):
+        mi.min_image_distance(identity2, [bad, 0.1], [0.9, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        mi.min_image_distance(identity2, [0.1, 0.1], [0.9, -bad])
+
+
+def test_point_set_rejects_nan_points(identity2):
+    with pytest.raises(ValueError, match="finite"):
+        mi.PeriodicPointSet(identity2, [[0.1, 0.2], [math.nan, 0.4]])
+
+
+def test_point_set_rejects_inf_points(identity2):
+    # such a set once gave neighbors_within an empty list
+    with pytest.raises(ValueError, match="finite"):
+        mi.PeriodicPointSet(identity2, [[0.1, 0.2], [math.inf, 0.4]])
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan, -1.0])
+def test_neighbors_rejects_non_finite_cutoff(identity2, cutoff):
+    ps = mi.PeriodicPointSet(identity2, [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="cutoff"):
+        mi.neighbors_within(ps, cutoff)
