@@ -66,21 +66,22 @@ def enumerate_ps(lattice: Basis) -> list[CellBasisCandidate]:
     anisotropy pushes some spanning triples past one layer; ties remove
     relevant vectors and change the count.
     """
-    red = reduction.reduce(lattice)
-    rel = voronoi.relevant_vectors(red.basis)
-    vc = voronoi.voronoi_cell(red.basis)
-    n = lattice.dim
+    return _domains(voronoi._prepare(lattice))
+
+
+def _domains(p: voronoi._Prepared) -> list[CellBasisCandidate]:
+    red = p.red
     out = []
     seen = set()
-    for combo in itertools.combinations(rel.vectors, n):
-        key = canonical_cell_key(np.column_stack([v.coeffs for v in combo]))
+    for combo in itertools.combinations(p.relevant, red.basis.dim):
+        key = canonical_cell_key(np.array(combo).T)
         if key in seen:
             continue
         z = np.array(key, dtype=np.int64).T
         if abs(int_det(z)) != 1:
             continue
         cand = validate_basis(red.basis.matrix @ z)
-        if not copies.sufficient_from_extents(voronoi.frac_extents(vc, cand)):
+        if not copies.sufficient_from_extents(voronoi.frac_extents(p, cand)):
             continue
         seen.add(key)
         out.append(CellBasisCandidate(coeffs=z, basis=cand, canonical_key=key))
@@ -93,12 +94,11 @@ def check_cell(cell: Basis, lattice: Basis) -> CellCheckReport:
 
     Raises NotAPrimitiveCell if the cell does not span the full lattice.
     """
-    counts = copies.copy_counts(cell, lattice)
-    red = reduction.reduce(lattice)
     w = copies.primitive_coeffs(cell, lattice)
-    z = unimodular_inverse(red.transform) @ w
-    key = canonical_cell_key(z)
-    members = {c.canonical_key for c in enumerate_ps(lattice)}
+    p = voronoi._prepare(lattice)
+    counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
+    key = canonical_cell_key(unimodular_inverse(p.red.transform) @ w)
+    members = {c.canonical_key for c in _domains(p)}
     return CellCheckReport(
         sufficient=copies.sufficient_from_extents(counts.h),
         counts=counts,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .core import (Basis, cell_params_to_basis, validate_basis)
+from .core import Basis, cell_params_to_basis, int_box, validate_basis
 from .distance import PeriodicPointSet, min_image_distance, neighbors_within, pairwise_distances
 from .errors import LatticeError
 from . import cells, copies, oracle, reduction, render, voronoi
@@ -75,11 +75,20 @@ def _load_matrix_file(path: str) -> Basis:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
-    if "columns" in data:
-        return validate_basis(np.array(data["columns"], dtype=float).T)
-    if "cell" in data:
-        return cell_params_to_basis(*[float(v) for v in data["cell"]])
-    raise UsageError(f"{path} must contain a 'columns' or 'cell' key")
+    if not isinstance(data, dict) or not ("columns" in data or "cell" in data):
+        raise UsageError(f"{path} must contain a 'columns' or 'cell' key")
+    key = "columns" if "columns" in data else "cell"
+    try:
+        vals = np.array(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot parse '{key}' in {path}: {exc}") from None
+    if key == "columns":
+        if vals.ndim != 2:
+            raise UsageError(f"'columns' in {path} must be a list of cell vectors")
+        return validate_basis(vals.T)
+    if vals.shape != (6,):
+        raise UsageError(f"'cell' in {path} needs six values: a b c alpha beta gamma")
+    return cell_params_to_basis(*vals.tolist())
 
 
 def _resolve_basis(args, prefix: str, required: bool = True) -> Basis | None:
@@ -465,8 +474,8 @@ def _check_block_sufficiency(cell: Basis, lattice: Basis, layers, samples: int =
     rng = np.random.default_rng(171717)
     n = cell.dim
     big = [m + 3 for m in layers]
-    t_small = oracle._offsets(layers) @ cell.matrix.T
-    t_big = oracle._offsets(big) @ cell.matrix.T
+    t_small = int_box(layers) @ cell.matrix.T
+    t_big = int_box(big) @ cell.matrix.T
     for _ in range(samples):
         p1 = rng.random(n)
         p2 = rng.random(n)

@@ -75,8 +75,7 @@ def domain_extents(cell: Basis, lattice: Basis) -> np.ndarray:
     along axis i.
     """
     primitive_coeffs(cell, lattice)
-    vc = voronoi.voronoi_cell(lattice)
-    return voronoi.frac_extents(vc, cell)
+    return voronoi.frac_extents(voronoi._prepare(lattice), cell)
 
 
 def ceil_snapped(x: float) -> int:
@@ -91,7 +90,11 @@ def copy_counts(cell: Basis, lattice: Basis) -> CopyCounts:
     point inside the (2 m_i + 1)-per-axis block of copies yields the true
     quotient distance.
     """
-    h = domain_extents(cell, lattice)
+    return counts_from_extents(domain_extents(cell, lattice))
+
+
+def counts_from_extents(h) -> CopyCounts:
+    """Copy counts for the half-extents ``h`` of a reach domain."""
     layers = tuple(ceil_snapped(float(v)) for v in h)
     per_axis = tuple(2 * m + 1 for m in layers)
     total = 1

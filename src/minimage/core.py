@@ -232,6 +232,16 @@ def unimodular_inverse(u) -> np.ndarray:
     return adj * d
 
 
+def int_box(layers) -> np.ndarray:
+    """All integer vectors t with |t_i| <= layers[i], one per row.
+
+    Rows come in ``itertools.product`` order (last axis fastest), so every
+    caller that breaks ties by the first row sees the same row first.
+    """
+    m = np.asarray(layers, dtype=np.int64)
+    return np.ascontiguousarray(np.indices(tuple(2 * m + 1)).reshape(len(m), -1).T) - m
+
+
 def canonical_sign(coeffs) -> tuple[int, ...]:
     """Normalize an integer vector so its first nonzero entry is positive."""
     t = tuple(int(c) for c in coeffs)

@@ -1,13 +1,15 @@
 """Minimum-image distances, distance matrices, and cutoff neighbor lists.
 
-Strategy: reduce the basis, re-express the points there, and minimize over
-the symmetric block of translates whose per-axis layer counts come from
-the reach extents of the reduced cell.  For almost every lattice the
-extents give one layer per axis, i.e. the familiar 3^n block; rare
-strongly anisotropic 3D lattices need an extra layer on one axis, and
-sizing the block from the extents keeps the result exact there too.  The
-witness image is mapped back through the unimodular transform so results
-are stated in the caller's coordinates.
+Strategy: reduce the basis once per call, re-express the points there, and
+minimize over the symmetric block of translates whose per-axis layer
+counts come from the reach extents of the reduced cell.  The reduction and
+the Voronoi vertices behind those extents come from one shared build
+(``voronoi._prepare``), so no call reduces the basis twice.  For almost
+every lattice the extents give one layer per axis, i.e. the familiar 3^n
+block; rare strongly anisotropic 3D lattices need an extra layer on one
+axis, and sizing the block from the extents keeps the result exact there
+too.  The witness image is mapped back through the unimodular transform so
+results are stated in the caller's coordinates.
 
 The many-point kernels loop over the images of the block, not over point
 pairs.  For a chunk of rows they hold per-component difference arrays
@@ -24,13 +26,12 @@ temporary array holds at most ``_CHUNK`` entries, whatever N is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, LatticeVector, unimodular_inverse, wrap_frac
+from .core import Basis, LatticeVector, int_box, unimodular_inverse, wrap_frac
 from . import copies, reduction, voronoi
 
 # Images within this relative window of the minimum count as ties; the one
@@ -81,17 +82,11 @@ class DistanceResult:
     image: LatticeVector
 
 
-def _offset_grid(layers) -> np.ndarray:
-    ranges = [range(-m, m + 1) for m in layers]
-    return np.array(list(itertools.product(*ranges)), dtype=np.int64)
-
-
 def _reduced_search_block(b: Basis) -> tuple[reduction.ReducedBasis, np.ndarray]:
     """Reduced basis plus the translate block that is exact for its cell."""
-    red = reduction.reduce(b)
-    h = voronoi.frac_extents(voronoi.voronoi_cell(red.basis), red.basis)
-    layers = [copies.ceil_snapped(float(x)) for x in h]
-    return red, _offset_grid(layers)
+    p = voronoi._prepare(b)
+    h = voronoi.frac_extents(p, p.red.basis)
+    return p.red, int_box([copies.ceil_snapped(float(x)) for x in h])
 
 
 def _pick_image(dd: np.ndarray, images: np.ndarray) -> tuple[int, tuple[int, ...]]:
@@ -201,7 +196,8 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
-    red = reduction.reduce(ps.basis)
+    p = voronoi._prepare(ps.basis)
+    red = p.red
     rm = red.basis.matrix
     u = red.transform
     uinv = unimodular_inverse(u)
@@ -209,10 +205,10 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     w = np.floor(fred).astype(np.int64)
     fr = fred - w
 
-    diam = voronoi.voronoi_cell(red.basis).diameter()
+    diam = 2.0 * float(np.linalg.norm(p.vertices, axis=1).max())
     widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)
     layers = [math.ceil((cutoff + diam) / wd) for wd in widths]
-    t = _offset_grid(layers)
+    t = int_box(layers)
     shifts = t @ rm.T
     # A difference of two points of the reduced cell is no longer than its
     # diameter, so an image with |s| > cutoff + diameter holds no hit.

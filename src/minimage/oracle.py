@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import Basis, LatticeVector, canonical_sign
+from .core import Basis, LatticeVector, canonical_sign, int_box
 from .distance import DistanceResult
 from .voronoi import RelevantVectorSet, TIE_REL
 from . import copies as copies_mod
@@ -25,11 +25,6 @@ WITNESS_GRID = 33
 WITNESS_GAP = 1e-9
 
 
-def _box(n: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(-k, k + 1), repeat=n)),
-                    dtype=np.int64)
-
-
 def brute_distance(b: Basis, p1, p2, layers: int) -> DistanceResult:
     """Exhaustive minimum over all translates with coefficients in [-K, K]^n."""
     if layers < 1:
@@ -37,7 +32,7 @@ def brute_distance(b: Basis, p1, p2, layers: int) -> DistanceResult:
     n = b.dim
     delta = np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float)
     m = b.matrix
-    t_all = _box(n, layers)
+    t_all = int_box((layers,) * n)
     chunk = 200_000
     best_d2 = math.inf
     for start in range(0, len(t_all), chunk):
@@ -63,7 +58,7 @@ def brute_relevant(b: Basis, box: int) -> RelevantVectorSet:
     if box < 2:
         raise ValueError("box must be at least 2")
     n = b.dim
-    zs = _box(n, box)
+    zs = int_box((box,) * n)
     zs = zs[np.any(zs != 0, axis=1)]
     carts = zs @ b.matrix.T
     found = []
@@ -99,10 +94,10 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int,
     """
     counts = copies_mod.copy_counts(cell, lattice)
     n = cell.dim
-    full = _offsets(counts.layers)
+    full = int_box(counts.layers)
     restricted_layers = list(counts.layers)
     restricted_layers[axis] -= 1
-    restricted = _offsets(restricted_layers)
+    restricted = int_box(restricted_layers)
     m = cell.matrix
 
     full_sh = full @ m.T
@@ -139,8 +134,3 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int,
         if hit is not None:
             return hit
     return None
-
-
-def _offsets(layers) -> np.ndarray:
-    ranges = [range(-m, m + 1) for m in layers]
-    return np.array(list(itertools.product(*ranges)), dtype=np.int64)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, canonical_sign, int_det, validate_basis
+from .core import Basis, canonical_sign, int_box, int_det, validate_basis
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
@@ -70,18 +70,8 @@ def reduce(b: Basis) -> ReducedBasis:
         triples = [_gauss_columns(b)]
     else:
         triples = _selling_shortest_triples(b)
-    best_key = None
-    best_cols = None
-    for tri in triples:
-        cfg = _canonical_config(b.matrix, tri)
-        if cfg is not None and (best_key is None or cfg[0] > best_key):
-            best_key, best_cols = cfg
-    if best_cols is None:
-        best_rank = None
-        for tri in triples:
-            cfg = _fallback_config(b.matrix, tri)
-            if best_rank is None or cfg[0] < best_rank:
-                best_rank, best_cols = cfg
+    _, best_cols = min((_ranked_config(b.matrix, tri) for tri in triples),
+                       key=lambda cfg: cfg[0])
     u = np.column_stack(best_cols).astype(np.int64)
     return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u)
 
@@ -103,20 +93,11 @@ def is_reduced(b: Basis, box: int = 4) -> bool:
     for i, j in itertools.combinations(range(n), 2):
         if float(m[:, i] @ m[:, j]) > tol * norms[i] * norms[j]:
             return False
-    zs = np.array(list(itertools.product(range(-box, box + 1), repeat=n)), dtype=np.int64)
-    zs = zs[np.any(zs != 0, axis=1)]
+    zs = int_box((box,) * n)
     lens = np.linalg.norm(zs @ m.T, axis=1)
-    slack = 1.0 - 1e-9
-    if lens.min() < norms[0] * slack:
-        return False
-    indep1 = np.any(zs[:, 1:] != 0, axis=1)
-    if lens[indep1].min() < norms[1] * slack:
-        return False
-    if n == 3:
-        indep2 = zs[:, 2] != 0
-        if lens[indep2].min() < norms[2] * slack:
-            return False
-    return True
+    # Column k must be no longer than any vector independent of columns < k.
+    return all(lens[np.any(zs[:, k:] != 0, axis=1)].min() >= norms[k] * (1.0 - 1e-9)
+               for k in range(n))
 
 
 def _norm2(m: np.ndarray, z: np.ndarray) -> float:
@@ -212,12 +193,14 @@ def _selling_shortest_triples(b: Basis) -> list[list[np.ndarray]]:
     return [[s3 @ cands[i] for i in tri] for tri in best]
 
 
-def _fallback_config(matrix: np.ndarray, cols: list[np.ndarray]):
-    """Least-acute deterministic signing for triples with no obtuse signing.
+def _ranked_config(matrix: np.ndarray, cols: list[np.ndarray]):
+    """Deterministic ordering and signing of a reduced vector set.
 
-    Ranked by (number of positive inner products, worst normalized cosine),
-    then by the same max-key rule as the canonical path (encoded negated so
-    the whole rank can be minimized).
+    Among all norm-ascending orderings and all sign patterns, pick the one
+    with the fewest acute pairs (cosines above COS_SNAP), then the smallest
+    worst acute cosine, then the largest flattened Cartesian tuple (encoded
+    negated so the whole rank can be minimized).  Returns (rank, columns);
+    a rank starting with 0 is an all-obtuse signing.
     """
     k = len(cols)
     carts = [matrix @ z for z in cols]
@@ -229,51 +212,13 @@ def _fallback_config(matrix: np.ndarray, cols: list[np.ndarray]):
         if any(n2[perm[a]] > n2[perm[a + 1]] for a in range(k - 1)):
             continue
         for signs in itertools.product((1, -1), repeat=k):
-            count = 0
-            worst = 0.0
-            for a, b2 in itertools.combinations(range(k), 2):
-                cos = (signs[a] * signs[b2] * gram[perm[a]][perm[b2]]
-                       / (n2[perm[a]] * n2[perm[b2]]) ** 0.5)
-                if cos > COS_SNAP:
-                    count += 1
-                    worst = max(worst, cos)
-            key = tuple(float(signs[a] * x) for a in range(k) for x in carts[perm[a]])
-            rank = (count, worst, tuple(-x for x in key))
+            cosines = [signs[a] * signs[b] * gram[perm[a]][perm[b]]
+                       / (n2[perm[a]] * n2[perm[b]]) ** 0.5
+                       for a, b in itertools.combinations(range(k), 2)]
+            acute = [c for c in cosines if c > COS_SNAP]
+            key = tuple(-float(signs[a] * x) for a in range(k) for x in carts[perm[a]])
+            rank = (len(acute), max(acute, default=0.0), key)
             if best_rank is None or rank < best_rank:
                 best_rank = rank
                 best_cols = [signs[a] * cols[perm[a]] for a in range(k)]
     return best_rank, best_cols
-
-
-def _canonical_config(matrix: np.ndarray, cols: list[np.ndarray]):
-    """Deterministic ordering and signing of a reduced vector set.
-
-    Among all norm-ascending orderings and all sign patterns that keep the
-    pairwise inner products non-positive (after snapping), pick the one
-    maximizing the flattened Cartesian tuple.  Returns (key, columns) or
-    None when no obtuse signing exists.
-    """
-    k = len(cols)
-    carts = [matrix @ z for z in cols]
-    n2 = [float(c @ c) for c in carts]
-    gram = [[float(carts[a] @ carts[b]) for b in range(k)] for a in range(k)]
-    snap = [[COS_SNAP * (n2[a] * n2[b]) ** 0.5 for b in range(k)] for a in range(k)]
-    best_key = None
-    best_cols = None
-    for perm in itertools.permutations(range(k)):
-        if any(n2[perm[a]] > n2[perm[a + 1]] for a in range(k - 1)):
-            continue
-        for signs in itertools.product((1, -1), repeat=k):
-            ok = all(
-                signs[a] * signs[b] * gram[perm[a]][perm[b]] <= snap[perm[a]][perm[b]]
-                for a, b in itertools.combinations(range(k), 2)
-            )
-            if not ok:
-                continue
-            key = tuple(float(signs[a] * x) for a in range(k) for x in carts[perm[a]])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_cols = [signs[a] * cols[perm[a]] for a in range(k)]
-    if best_key is None:
-        return None
-    return best_key, best_cols

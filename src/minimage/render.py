@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis
+from .core import Basis, int_box
 from .errors import UnsupportedDimension
 from . import copies, voronoi
 
@@ -26,16 +26,16 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
         raise UnsupportedDimension("rendering is implemented for 2D only")
     if cell is None:
         cell = lattice
-    counts = copies.copy_counts(cell, lattice)
-    rel = voronoi.relevant_vectors(lattice)
+    copies.primitive_coeffs(cell, lattice)
     vc = voronoi.voronoi_cell(lattice)
+    counts = copies.counts_from_extents(voronoi.frac_extents(vc, cell))
 
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ cell.matrix.T
     vverts = _angle_sorted(vc.vertices)
     domain = _hull(np.array([c + v for c in corners for v in vverts]))
 
     block = []
-    for ij in itertools.product(*[range(-m, m + 1) for m in counts.layers]):
+    for ij in int_box(counts.layers):
         shift = cell.matrix @ np.asarray(ij, dtype=float)
         block.append(corners + shift)
 
@@ -55,8 +55,7 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
         return f'<polygon points="{" ".join(xy(p) for p in points)}" style="{style}"/>'
 
     latpts = _lattice_points(lattice, lo, hi)
-    relset = {tuple(np.round(r, 9)) for r in rel.cartesians}
-    relset |= {tuple(np.round(-r, 9)) for r in rel.cartesians}
+    relset = {tuple(np.round(r, 9)) for r in vc.normals}
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '

@@ -5,19 +5,26 @@ and r carries a facet of the Voronoi cell V, which happens exactly when
 +-r are the unique shortest members of their class of L/2L.  The cell
 itself is assembled from the halfspaces {x : x . r <= |r|^2 / 2} and its
 vertices are enumerated by brute-force intersection of n-subsets of facet
-planes, which is cheap at the sizes that can occur here (at most 7 facet
-pairs in 2D and 13 in 3D would only arise for larger classes; the actual
-maxima are 3 and 7).
+planes, which is cheap at the sizes that can occur here (at most 3 facet
+pairs in 2D and 7 in 3D).
+
+Every public operation that needs this geometry builds it once per call
+with ``_prepare``: one reduction, the relevant vectors searched in the
+reduced basis (which is never reduced again), and the vertices of the cell
+bounded by their bisector planes.  All operations therefore read extents
+from the same vertex set.  The facet-area volume is not part of that
+shared build; only ``voronoi_cell`` computes it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Basis, LatticeVector, canonical_sign
+from .core import Basis, LatticeVector, canonical_sign, int_box
 from .errors import DegenerateCell
 from . import reduction
 
@@ -89,107 +96,148 @@ class VoronoiCell:
         return 2.0 * float(np.linalg.norm(self.vertices, axis=1).max())
 
 
-def relevant_vectors(b: Basis) -> RelevantVectorSet:
-    """Compute the Voronoi-relevant vectors of the lattice of ``b``.
+class _Prepared(NamedTuple):
+    """The facts of one lattice, built once per public call.
 
-    The basis is reduced internally; for each nonzero class c of L/2L the
-    norm |B(2z + c)| is minimized over z in [-2, 2]^n.  A class whose
-    minimum is attained by more than one +-pair (within TIE_REL) is tied
-    and contributes no relevant vectors.
+    ``relevant`` holds the relevant vectors in reduced coordinates,
+    ``normals`` both signs of their Cartesian forms, and ``tight[v, f]``
+    says whether vertex v lies on the plane of facet f.
     """
+
+    red: reduction.ReducedBasis
+    relevant: list[tuple[int, ...]]
+    normals: np.ndarray
+    vertices: np.ndarray
+    tight: np.ndarray
+
+
+def _prepare(b: Basis) -> _Prepared:
+    """Reduce ``b`` once and build the Voronoi vertices from that reduction."""
     red = reduction.reduce(b)
-    rm = red.basis.matrix
-    u = red.transform
-    n = b.dim
-    zgrid = np.array(list(itertools.product(range(-COSET_BOX, COSET_BOX + 1), repeat=n)),
-                     dtype=np.int64)
+    rel, carts = _by_norm(red.basis.matrix, _coset_minima(red.basis.matrix))
+    return _Prepared(red, rel, *_vertices(carts, GEOM_REL * red.basis.diameter()))
+
+
+def _by_norm(m: np.ndarray, coeffs) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Coefficient tuples sorted by (|m t|, t), and their Cartesian rows."""
+    found = sorted(coeffs, key=lambda t: (float(np.linalg.norm(m @ np.asarray(t, float))), t))
+    return found, np.array([m @ np.asarray(t, float) for t in found])
+
+
+def _coset_minima(rm: np.ndarray) -> list[tuple[int, ...]]:
+    """Relevant vectors of a reduced basis matrix, one canonical sign each.
+
+    For each nonzero class c of L/2L, |B(2z + c)| is minimized over z in
+    [-2, 2]^n; a class whose minimum is attained by more than one +-pair
+    (within TIE_REL) is tied and contributes nothing.
+    """
+    n = len(rm)
+    zgrid = int_box((COSET_BOX,) * n)
     found = []
     for cls in itertools.product((0, 1), repeat=n):
         if not any(cls):
             continue
         ys = 2 * zgrid + np.array(cls, dtype=np.int64)
         norms = np.linalg.norm(ys @ rm.T, axis=1)
-        tied = ys[norms <= norms.min() * (1.0 + TIE_REL)]
-        reps = {canonical_sign(row) for row in tied}
-        if len(reps) != 1:
-            continue
-        y = np.array(reps.pop(), dtype=np.int64)
-        found.append(canonical_sign(u @ y))
-    found.sort(key=lambda t: (float(np.linalg.norm(b.matrix @ np.asarray(t, float))), t))
-    carts = np.array([b.matrix @ np.asarray(t, float) for t in found])
-    return RelevantVectorSet(vectors=tuple(LatticeVector(t) for t in found),
-                             cartesians=carts)
+        reps = {canonical_sign(row) for row in ys[norms <= norms.min() * (1.0 + TIE_REL)]}
+        if len(reps) == 1:
+            found.append(reps.pop())
+    return found
 
 
-def voronoi_cell(b: Basis) -> VoronoiCell:
-    """Construct the origin Voronoi cell of the lattice of ``b``.
-
-    Vertices come from intersecting all n-subsets of facet planes and
-    keeping the points feasible for every halfspace; the volume is the sum
-    over facets of the pyramid volumes to the origin.
-    """
-    rel = relevant_vectors(b)
-    n = b.dim
-    normals = np.vstack([rel.cartesians, -rel.cartesians])
+def _vertices(carts: np.ndarray, tol_len: float):
+    """(normals, vertices, tight) of the cell bounded by the bisectors of
+    ``carts``: the intersections of n facet planes that are feasible for
+    every halfspace, within ``tol_len`` of each plane."""
+    n = carts.shape[1]
+    normals = np.vstack([carts, -carts])
     nnorm = np.linalg.norm(normals, axis=1)
     offsets = 0.5 * nnorm ** 2
-    tol_len = GEOM_REL * b.diameter()
-
     combos = np.array(list(itertools.combinations(range(len(normals)), n)))
     mats = normals[combos]
     dets = np.linalg.det(mats)
     scale = np.prod(nnorm[combos], axis=1)
     ok = np.abs(dets) > 1e-10 * scale
     verts = np.linalg.solve(mats[ok], offsets[combos[ok]][..., None])[..., 0]
-
     feasible = np.all(verts @ normals.T <= offsets[None, :] + tol_len * nnorm[None, :],
                       axis=1)
-    verts = verts[feasible]
-    verts = _dedup(verts, tol_len)
+    verts = _dedup(verts[feasible], tol_len)
     if len(verts) < n + 1:
         raise DegenerateCell(
             f"only {len(verts)} distinct vertices found (need at least {n + 1})"
         )
-
-    volume = 0.0
-    for i in range(len(normals)):
-        r = normals[i]
-        tight = verts[np.abs(verts @ r - offsets[i]) <= tol_len * nnorm[i]]
-        if len(tight) < n:
-            raise DegenerateCell("halfspace with too few tight vertices")
-        volume += _facet_measure(tight, r) * (0.5 * nnorm[i]) / n
-    return VoronoiCell(normals=normals, offsets=offsets, vertices=verts,
-                       volume=float(volume))
+    tight = np.abs(verts @ normals.T - offsets) <= tol_len * nnorm
+    if np.any(tight.sum(axis=0) < n):
+        raise DegenerateCell("halfspace with too few tight vertices")
+    return normals, verts, tight
 
 
-def frac_extents(cell: VoronoiCell, frame: Basis) -> np.ndarray:
+def _in_basis(b: Basis, red: reduction.ReducedBasis, rel) -> RelevantVectorSet:
+    """Relevant vectors given in reduced coordinates, restated in ``b``."""
+    u = red.transform
+    found, carts = _by_norm(b.matrix, [canonical_sign(u @ np.array(y)) for y in rel])
+    return RelevantVectorSet(vectors=tuple(LatticeVector(t) for t in found),
+                             cartesians=carts)
+
+
+def relevant_vectors(b: Basis) -> RelevantVectorSet:
+    """Compute the Voronoi-relevant vectors of the lattice of ``b``.
+
+    The basis is reduced internally and the coset minima are searched
+    there; the vectors are reported in the coordinates of ``b``.
+    """
+    red = reduction.reduce(b)
+    return _in_basis(b, red, _coset_minima(red.basis.matrix))
+
+
+def voronoi_cell(b: Basis) -> VoronoiCell:
+    """Construct the origin Voronoi cell of the lattice of ``b``.
+
+    The halfspaces are those of ``relevant_vectors(b)``, the vertices the
+    shared build, and the volume the sum over facets of the pyramid volumes
+    to the origin.
+    """
+    p = _prepare(b)
+    rel = _in_basis(b, p.red, p.relevant)
+    normals = np.vstack([rel.cartesians, -rel.cartesians])
+    volume = sum(_facet_measure(p.vertices[p.tight[:, f]], r) * (0.5 * np.linalg.norm(r))
+                 / b.dim for f, r in enumerate(p.normals))
+    return VoronoiCell(normals=normals, offsets=0.5 * np.linalg.norm(normals, axis=1) ** 2,
+                       vertices=p.vertices, volume=float(volume))
+
+
+def frac_extents(cell: VoronoiCell | _Prepared, frame: Basis) -> np.ndarray:
     """Half-extents of the Voronoi cell along the fractional axes of ``frame``.
 
     h_i = max over vertices x of |(frame^-1 x)_i|; central symmetry of the
-    cell makes this the half-extent in both directions.
+    cell makes this the half-extent in both directions.  Only
+    ``cell.vertices`` is read.
     """
     fracs = cell.vertices @ frame.inv.T
     return np.abs(fracs).max(axis=0)
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    if len(points) == 0:
-        return points
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    """Points in lexicographic order, dropping each one within ``tol`` of an
+    earlier kept point."""
+    pts = points[np.lexsort(points.T[::-1])]
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) <= tol
+    dropped = np.zeros(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if not dropped[i]:
+            dropped[i + 1:] |= close[i, i + 1:]
+    return pts[~dropped]
 
 
 def _facet_measure(tight: np.ndarray, r: np.ndarray) -> float:
-    """Length (2D) or area (3D) of a facet given its tight vertices."""
+    """Length (2D) or area (3D) of a facet given its tight vertices.
+
+    In 3D the vertices are ordered by angle in an orthonormal (u, v) frame
+    of the facet plane and the area is the shoelace sum in that frame.
+    """
     rh = r / np.linalg.norm(r)
     if tight.shape[1] == 2:
-        t = np.array([-rh[1], rh[0]])
-        proj = tight @ t
+        proj = tight @ np.array([-rh[1], rh[0]])
         return float(proj.max() - proj.min())
     axis = int(np.argmin(np.abs(rh)))
     u = np.zeros(3)
@@ -197,13 +245,10 @@ def _facet_measure(tight: np.ndarray, r: np.ndarray) -> float:
     u = u - (u @ rh) * rh
     u /= np.linalg.norm(u)
     v = np.cross(rh, u)
-    center = tight.mean(axis=0)
-    q = tight - center
-    ang = np.arctan2(q @ v, q @ u)
-    ordered = q[np.argsort(ang, kind="stable")]
-    area = 0.0
-    for i in range(len(ordered)):
-        a = ordered[i]
-        b2 = ordered[(i + 1) % len(ordered)]
-        area += 0.5 * float(np.cross(a, b2) @ rh)
-    return abs(area)
+    q = tight - tight.mean(axis=0)
+    x = q @ u
+    y = q @ v
+    order = np.argsort(np.arctan2(y, x), kind="stable")
+    x = x[order]
+    y = y[order]
+    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))

@@ -118,6 +118,22 @@ def test_lattice_file_input(capsys, tmp_path):
     assert data["total"] == 27
 
 
+@pytest.mark.parametrize("content", [
+    "5",
+    '{"columns": [[1, "x"], [0, 1]]}',
+    '{"columns": [[1, 0, 0], [0, 1]]}',
+    '{"columns": 5}',
+    '{"cell": [1, 2]}',
+])
+def test_malformed_lattice_file_is_usage_error(capsys, tmp_path, content):
+    lat = tmp_path / "lat.json"
+    lat.write_text(content)
+    code = run(["reduce", "--lattice-file", str(lat)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
 def test_output_is_byte_identical(capsys):
     argv = ["voronoi", "--lattice", "1 0 -0.5 0.8660254037844386"]
     assert run(argv) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minimage as mi
-from minimage.core import canonical_sign
+from minimage.core import canonical_sign, int_box
 
 from conftest import FCC, HEX_2D, basis_pool, random_cond_basis
 
@@ -36,7 +36,7 @@ def test_relevant_vectors_fcc(fcc):
 def test_midpoint_facet_property(fcc):
     """r/2 is equidistant from 0 and r and no lattice point is closer."""
     rel = mi.relevant_vectors(fcc)
-    lattice_pts = mi.oracle._box(3, 3) @ fcc.matrix.T
+    lattice_pts = int_box((3, 3, 3)) @ fcc.matrix.T
     for r in rel.cartesians:
         mid = r / 2
         d0 = np.linalg.norm(mid)
