@@ -2,9 +2,6 @@
 
 from .core import (
     Basis,
-    CartPoint,
-    FracPoint,
-    GramMatrix,
     LatticeVector,
     basis_to_cell_params,
     cart_to_frac,
@@ -19,6 +16,7 @@ from .errors import (
     InvalidCellParameters,
     LatticeError,
     NotAPrimitiveCell,
+    OracleBudgetExceeded,
     ReductionNonConvergence,
     SingularBasis,
     UnsupportedDimension,
@@ -39,18 +37,16 @@ from . import oracle
 
 __all__ = [
     "Basis",
-    "CartPoint",
     "CellBasisCandidate",
     "CellCheckReport",
     "CopyCounts",
     "DegenerateCell",
     "DistanceResult",
-    "FracPoint",
-    "GramMatrix",
     "InvalidCellParameters",
     "LatticeError",
     "LatticeVector",
     "NotAPrimitiveCell",
+    "OracleBudgetExceeded",
     "PeriodicPointSet",
     "ReducedBasis",
     "ReductionNonConvergence",

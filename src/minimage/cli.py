@@ -7,8 +7,8 @@ the unit bases.  JSON files ({"dim": n, "columns": [...]} or
 {"cell": [a, b, c, alpha, beta, gamma]}) override inline values.
 
 Exit codes: 0 success, 1 domain errors (singular basis, non-primitive
-cell, verification mismatch), 2 usage or parse errors.  Diagnostics go to
-stderr, results to stdout.
+cell, verification mismatch or skipped), 2 usage or parse errors.
+Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .core import Basis, cell_params_to_basis, int_box, validate_basis
+from .core import Basis, cell_params_to_basis, validate_basis
 from .distance import PeriodicPointSet, min_image_distance, neighbors_within, pairwise_distances
-from .errors import LatticeError
+from .errors import LatticeError, OracleBudgetExceeded
 from . import cells, copies, oracle, reduction, render, voronoi
 
 
@@ -35,37 +35,29 @@ def _sig12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _floats(text: str, what: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split()]
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {what}: {exc}") from None
+
+
+def _params_basis(vals, where: str) -> Basis:
+    if np.shape(vals) != (6,):
+        raise UsageError(f"{where} needs six values: a b c alpha beta gamma")
+    return cell_params_to_basis(*np.asarray(vals, dtype=float).tolist())
+
+
 def _parse_inline_matrix(text: str) -> Basis:
     tok = text.strip()
-    if tok == "identity2":
-        return validate_basis(np.eye(2))
-    if tok == "identity3":
-        return validate_basis(np.eye(3))
-    try:
-        vals = [float(v) for v in tok.split()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse matrix values: {exc}") from None
-    if len(vals) == 4:
-        n = 2
-    elif len(vals) == 9:
-        n = 3
-    else:
-        raise UsageError(
-            f"expected 4 or 9 matrix values (got {len(vals)}); "
-            "each group of n values is one cell vector"
-        )
-    cols = np.array(vals).reshape(n, n).T
-    return validate_basis(cols)
-
-
-def _parse_params(text: str) -> Basis:
-    try:
-        vals = [float(v) for v in text.strip().split()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse cell parameters: {exc}") from None
-    if len(vals) != 6:
-        raise UsageError("cell parameters need exactly six values: a b c alpha beta gamma")
-    return cell_params_to_basis(*vals)
+    if tok in ("identity2", "identity3"):
+        return validate_basis(np.eye(int(tok[-1])))
+    vals = _floats(tok, "matrix values")
+    n = {4: 2, 9: 3}.get(len(vals))
+    if n is None:
+        raise UsageError(f"expected 4 or 9 matrix values (got {len(vals)}); "
+                         "each group of n values is one cell vector")
+    return validate_basis(np.array(vals).reshape(n, n).T)
 
 
 def _load_matrix_file(path: str) -> Basis:
@@ -82,13 +74,11 @@ def _load_matrix_file(path: str) -> Basis:
         vals = np.array(data[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse '{key}' in {path}: {exc}") from None
-    if key == "columns":
-        if vals.ndim != 2:
-            raise UsageError(f"'columns' in {path} must be a list of cell vectors")
-        return validate_basis(vals.T)
-    if vals.shape != (6,):
-        raise UsageError(f"'cell' in {path} needs six values: a b c alpha beta gamma")
-    return cell_params_to_basis(*vals.tolist())
+    if key == "cell":
+        return _params_basis(vals, f"'cell' in {path}")
+    if vals.ndim != 2:
+        raise UsageError(f"'columns' in {path} must be a list of cell vectors")
+    return validate_basis(vals.T)
 
 
 def _resolve_basis(args, prefix: str, required: bool = True) -> Basis | None:
@@ -98,64 +88,235 @@ def _resolve_basis(args, prefix: str, required: bool = True) -> Basis | None:
     if file_arg:
         return _load_matrix_file(file_arg)
     if params:
-        return _parse_params(params)
+        return _params_basis(_floats(params, "cell parameters"), "--cell-params")
     if inline:
         return _parse_inline_matrix(inline)
     if required:
-        raise UsageError(f"missing --{prefix.replace('_', '-')} input")
+        raise UsageError(f"missing --{prefix} input")
     return None
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
-    try:
-        vals = [float(v) for v in text.strip().split()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse point: {exc}") from None
+    vals = _floats(text, "point")
     if len(vals) != dim:
         raise UsageError(f"point needs {dim} coordinates, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
-        raise UsageError("point coordinates must be finite")
     return np.array(vals)
 
 
 def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
+    """Points from JSON {"frac": [...], "labels": [...]} or from plain text,
+    one point per line."""
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    labels = None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        try:
-            pts = np.array([[float(v) for v in line.split()]
-                            for line in text.splitlines() if line.strip()])
-        except ValueError as exc:
-            raise UsageError(f"cannot parse points in {path}: {exc}") from None
-    else:
-        if not isinstance(data, dict) or "frac" not in data:
-            raise UsageError(f"{path} must contain a 'frac' key")
-        try:
-            pts = np.array(data["frac"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"cannot parse points in {path}: {exc}") from None
-        if "labels" in data and data["labels"] is not None:
-            labels = tuple(str(x) for x in data["labels"])
+        data = {"frac": [line.split() for line in text.splitlines() if line.strip()]}
+    if not isinstance(data, dict) or "frac" not in data:
+        raise UsageError(f"{path} must contain a 'frac' key")
+    try:
+        pts = np.array(data["frac"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot parse points in {path}: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] != basis.dim:
-        raise UsageError(
-            f"points in {path} must be {basis.dim}-dimensional rows"
-        )
-    if not np.all(np.isfinite(pts)):
-        raise UsageError(f"points in {path} must be finite")
-    return PeriodicPointSet(basis=basis, points=pts, labels=labels)
+        raise UsageError(f"points in {path} must be {basis.dim}-dimensional rows")
+    try:
+        return PeriodicPointSet(basis=basis, points=pts, labels=data.get("labels"))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid points in {path}: {exc}") from None
 
 
-def _matrix_columns(m: np.ndarray) -> list:
-    return [list(m[:, i]) for i in range(m.shape[1])]
+def _counts_out(counts) -> dict:
+    return {
+        "h": list(counts.h),
+        "layers": list(counts.layers),
+        "per_axis": list(counts.per_axis),
+        "total": counts.total,
+    }
 
 
-def _int_columns(m: np.ndarray) -> list:
-    return [[int(x) for x in m[:, i]] for i in range(m.shape[1])]
+def _check_distances(b: Basis, points, triples) -> str | None:
+    """Each reported minimum distance d of a pair (i, j) of ``points``
+    against brute force in the pair's certified box."""
+    for i, j, d in triples:
+        p1, p2 = points[i], points[j]
+        ref = oracle.brute_distance(b, p1, p2, oracle.certified_layers(b, d, p2 - p1))
+        if abs(ref.distance - d) > 1e-12 * max(1e-300, ref.distance):
+            return f"pair ({i}, {j}): distance {d!r} vs brute force {ref.distance!r}"
+    return None
+
+
+def _check_block(cell: Basis, layers, what: str) -> str | None:
+    bad = oracle.block_counterexample(cell, layers)
+    return None if bad is None else f"{what} misses a shorter image for pair {bad}"
+
+
+# Handlers: resolved arguments in, (output, verifier) out.  The output is a
+# JSON value or CSV text; the verifier returns a mismatch message or None.
+def _reduce(a):
+    red = reduction.reduce(a.lattice)
+    out = {
+        "dim": a.lattice.dim,
+        "columns": red.basis.matrix.T.tolist(),
+        "transform": red.transform.T.tolist(),
+        "norms": red.norms.tolist(),
+    }
+    return out, lambda: (None if oracle.brute_reduced(red.basis)
+                         else "reduced basis fails the bounded-enumeration check")
+
+
+def _relevant(a):
+    rel = voronoi.relevant_vectors(a.lattice)
+    out = {
+        "dim": a.lattice.dim,
+        "count": rel.count,
+        "coeffs": [list(v.coeffs) for v in rel.vectors],
+        "cartesians": rel.cartesians.tolist(),
+    }
+    return out, lambda: (None if oracle.brute_relevant(a.lattice).coeff_set()
+                         == rel.coeff_set() else "relevant vectors differ from the oracle")
+
+
+def _voronoi(a):
+    b = a.lattice
+    vc = voronoi.voronoi_cell(b)
+    out = {
+        "dim": b.dim,
+        "volume": vc.volume,
+        "vertices": vc.vertices.tolist(),
+        "normals": vc.normals.tolist(),
+        "offsets": vc.offsets.tolist(),
+    }
+
+    def verify():
+        if oracle.brute_relevant(b).count != len(vc.normals):
+            return "facet count differs from the facet oracle"
+        if abs(vc.volume - abs(b.det)) > 1e-9 * abs(b.det):
+            return "cell volume does not match |det B|"
+        return None
+    return out, verify
+
+
+def _copies(a):
+    counts = copies.copy_counts(a.cell, a.lattice)
+    return _counts_out(counts), lambda: _check_block(a.cell, counts.layers, "block")
+
+
+def _cells(a):
+    found = cells.enumerate_ps(a.lattice)
+    out = [{"coeffs": c.coeffs.T.tolist(), "columns": c.basis.matrix.T.tolist()}
+           for c in found]
+    return out, lambda: next(filter(None, (
+        _check_block(c.basis, (1,) * c.basis.dim, f"3^n block of {c.canonical_key}")
+        for c in found)), None)
+
+
+def _check_cell(a):
+    report = cells.check_cell(a.cell, a.lattice)
+    out = {
+        "sufficient": report.sufficient,
+        "ps_member": report.ps_member,
+        "cell_reduced": report.cell_reduced,
+        "copies": _counts_out(report.counts),
+    }
+    return out, lambda: _check_block(a.cell, report.counts.layers, "block")
+
+
+def _dist(a):
+    try:
+        res = min_image_distance(a.lattice, a.p1, a.p2)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    out = {"distance": _sig12(res.distance), "image": list(res.image.coeffs)}
+    return out, lambda: _check_distances(a.lattice, [a.p1, a.p2], [(0, 1, res.distance)])
+
+
+def _matrix(a):
+    ps = a.points
+    mat = pairwise_distances(ps)
+    if a.format == "csv":
+        out = "\n".join(",".join(f"{v:.12g}" for v in row) for row in mat)
+    else:
+        out = {
+            "labels": list(ps.labels) if ps.labels else None,
+            "distances": [[_sig12(v) for v in row] for row in mat],
+        }
+    return out, lambda: _check_distances(ps.basis, ps.points, [
+        (i, j, mat[i, j]) for i in range(len(ps)) for j in range(i + 1, len(ps))])
+
+
+def _neighbors(a):
+    ps, b = a.points, a.lattice
+    hits = neighbors_within(ps, a.cutoff)
+    if a.format == "csv":
+        coords = ",".join(f"t{k+1}" for k in range(b.dim))
+        out = "\n".join([f"i,j,{coords},distance"] + [
+            f"{i},{j}," + ",".join(str(c) for c in img.coeffs) + f",{d:.12g}"
+            for i, j, img, d in hits])
+    else:
+        out = {
+            "cutoff": _sig12(a.cutoff),
+            "count": len(hits),
+            "neighbors": [
+                {"i": i, "j": j, "image": list(img.coeffs), "distance": _sig12(d)}
+                for i, j, img, d in hits
+            ],
+        }
+
+    def verify():
+        nearest = {}
+        for i, j, img, d in hits:
+            shift = np.asarray(img.coeffs, dtype=float)
+            direct = float(np.linalg.norm(b.matrix @ (ps.points[j] + shift - ps.points[i])))
+            if abs(direct - d) > 1e-12 * max(1e-300, direct):
+                return f"pair ({i}, {j}) distance is inconsistent with its image"
+            if i != j:
+                nearest.setdefault((i, j), d)
+        # Hits of a pair come nearest first, and the nearest must be the
+        # pair's minimum-image distance.
+        return _check_distances(b, ps.points, [(i, j, d) for (i, j), d in nearest.items()])
+    return out, verify
+
+
+def _render(a):
+    return {"out": str(render.render_2d(a.lattice, a.cell, a.out))}, None
+
+
+# The options of each input, in --help order.
+_OPTIONS = {
+    "lattice": (("--lattice", {"help": "inline column values or identity2/identity3"}),
+                ("--lattice-file", {"help": "JSON lattice file"}),
+                ("--cell-params",
+                 {"help": 'cell parameters "a b c alpha beta gamma" (degrees)'})),
+    "cell": (("--cell", {"help": "inline cell column values"}),
+             ("--cell-file", {"help": "JSON cell file"})),
+    "p1/p2": (("--p1", {"required": True, "help": "fractional coordinates"}),
+              ("--p2", {"required": True, "help": "fractional coordinates"})),
+    "points": (("--points", {"required": True, "help": "points file (JSON or text)"}),),
+    "cutoff": (("--cutoff", {"type": float, "required": True}),),
+    "format": (("--format", {"choices": ("json", "csv"), "default": "json"}),),
+    "out": (("--out", {"required": True, "help": "output SVG path"}),),
+    "verify": (("--verify", {"action": "store_true",
+                             "help": "cross-check against the brute-force oracle"}),),
+}
+
+# Subcommand -> (help, inputs, handler); "cell?" is an optional cell.
+COMMANDS = {
+    "reduce": ("shortest obtuse basis and transform", "lattice verify", _reduce),
+    "relevant": ("Voronoi-relevant vectors", "lattice verify", _relevant),
+    "voronoi": ("Voronoi cell halfspaces, vertices, volume", "lattice verify", _voronoi),
+    "copies": ("minimal copy counts for a primitive cell", "lattice cell verify", _copies),
+    "cells": ("fundamental domains needing only 3^n copies", "lattice verify", _cells),
+    "check-cell": ("diagnose a primitive cell", "lattice cell verify", _check_cell),
+    "dist": ("minimum-image distance between two points", "lattice p1/p2 verify", _dist),
+    "matrix": ("pairwise distance matrix for a point file", "lattice points format verify",
+               _matrix),
+    "neighbors": ("pairs and images within a cutoff", "lattice points cutoff format verify",
+                  _neighbors),
+    "render": ("SVG diagram of a 2D lattice and cell", "lattice cell? out", _render),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,73 +326,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "copy counts, and exact minimum-image distances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_lattice(p, with_params=True):
-        p.add_argument("--lattice", help="inline column values or identity2/identity3")
-        p.add_argument("--lattice-file", help="JSON lattice file")
-        if with_params:
-            p.add_argument("--cell-params",
-                           help='cell parameters "a b c alpha beta gamma" (degrees)')
-
-    def add_cell(p):
-        p.add_argument("--cell", help="inline cell column values")
-        p.add_argument("--cell-file", help="JSON cell file")
-
-    def add_verify(p):
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check against the brute-force oracle")
-
-    p = sub.add_parser("reduce", help="shortest obtuse basis and transform")
-    add_lattice(p)
-    add_verify(p)
-
-    p = sub.add_parser("relevant", help="Voronoi-relevant vectors")
-    add_lattice(p)
-    add_verify(p)
-
-    p = sub.add_parser("voronoi", help="Voronoi cell halfspaces, vertices, volume")
-    add_lattice(p)
-    add_verify(p)
-
-    p = sub.add_parser("copies", help="minimal copy counts for a primitive cell")
-    add_lattice(p)
-    add_cell(p)
-    add_verify(p)
-
-    p = sub.add_parser("cells", help="fundamental domains needing only 3^n copies")
-    add_lattice(p)
-    add_verify(p)
-
-    p = sub.add_parser("check-cell", help="diagnose a primitive cell")
-    add_lattice(p)
-    add_cell(p)
-    add_verify(p)
-
-    p = sub.add_parser("dist", help="minimum-image distance between two points")
-    add_lattice(p)
-    p.add_argument("--p1", required=True, help="fractional coordinates")
-    p.add_argument("--p2", required=True, help="fractional coordinates")
-    add_verify(p)
-
-    p = sub.add_parser("matrix", help="pairwise distance matrix for a point file")
-    add_lattice(p)
-    p.add_argument("--points", required=True, help="points file (JSON or text)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_verify(p)
-
-    p = sub.add_parser("neighbors", help="pairs and images within a cutoff")
-    add_lattice(p)
-    p.add_argument("--points", required=True, help="points file (JSON or text)")
-    p.add_argument("--cutoff", type=float, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_verify(p)
-
-    p = sub.add_parser("render", help="SVG diagram of a 2D lattice and cell")
-    add_lattice(p)
-    add_cell(p)
-    p.add_argument("--out", required=True, help="output SVG path")
-
+    for name, (help_text, inputs, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in inputs.split():
+            for flag, kwargs in _OPTIONS[key.rstrip("?")]:
+                p.add_argument(flag, **kwargs)
     return parser
+
+
+def _resolve(args, inputs):
+    """Replace the raw inputs in ``args`` by parsed, validated values."""
+    inputs = inputs.split()
+    args.lattice = _resolve_basis(args, "lattice")
+    if "cell" in inputs or "cell?" in inputs:
+        args.cell = _resolve_basis(args, "cell", required="cell" in inputs)
+    if "p1/p2" in inputs:
+        args.p1 = _parse_point(args.p1, args.lattice.dim)
+        args.p2 = _parse_point(args.p2, args.lattice.dim)
+    if "cutoff" in inputs and not (args.cutoff > 0 and math.isfinite(args.cutoff)):
+        raise UsageError("--cutoff must be positive and finite")
+    if "points" in inputs:
+        args.points = _load_points(args.points, args.lattice)
+    return args
+
+
+def _print(out) -> None:
+    print(out if isinstance(out, str) else json.dumps(out))
+
+
+def _report(verifier) -> int:
+    """Run a verifier and report its verdict on stderr; 0 only when it agrees."""
+    try:
+        mismatch = verifier()
+    except OracleBudgetExceeded as exc:
+        print(f"verify: skipped: {exc}", file=sys.stderr)
+        return 1
+    print("verify: ok" if mismatch is None else f"verify: MISMATCH: {mismatch}",
+          file=sys.stderr)
+    return 0 if mismatch is None else 1
 
 
 def run(argv=None) -> int:
@@ -240,8 +372,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    _, inputs, handler = COMMANDS[args.command]
     try:
-        return _dispatch(args)
+        out, verifier = handler(_resolve(args, inputs))
+        _print(out)
+        return _report(verifier) if getattr(args, "verify", False) else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -252,239 +387,6 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-def _verify_fail(message: str) -> int:
-    print(f"verify: MISMATCH: {message}", file=sys.stderr)
-    return 1
-
-
-def _verify_ok(message: str) -> None:
-    print(f"verify: ok: {message}", file=sys.stderr)
-
-
-def _oracle_layers(b: Basis) -> int:
-    return max(copies.copy_counts(b, b).layers) + 3
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "reduce":
-        b = _resolve_basis(args, "lattice")
-        red = reduction.reduce(b)
-        out = {
-            "dim": b.dim,
-            "columns": _matrix_columns(red.basis.matrix),
-            "transform": _int_columns(red.transform),
-            "norms": [float(x) for x in red.norms],
-        }
-        print(json.dumps(out))
-        if args.verify:
-            if not reduction.is_reduced(red.basis, box=10):
-                return _verify_fail("reduced basis fails the bounded-enumeration check")
-            _verify_ok("reduced basis confirmed by bounded enumeration (box 10)")
-        return 0
-
-    if cmd == "relevant":
-        b = _resolve_basis(args, "lattice")
-        rel = voronoi.relevant_vectors(b)
-        out = {
-            "dim": b.dim,
-            "count": rel.count,
-            "coeffs": [list(v.coeffs) for v in rel.vectors],
-            "cartesians": [list(row) for row in rel.cartesians],
-        }
-        print(json.dumps(out))
-        if args.verify:
-            ref = oracle.brute_relevant(b, box=3)
-            if ref.coeff_set() != rel.coeff_set():
-                return _verify_fail("relevant vectors differ from the facet oracle")
-            _verify_ok(f"{rel.count} relevant vectors match the facet oracle")
-        return 0
-
-    if cmd == "voronoi":
-        b = _resolve_basis(args, "lattice")
-        vc = voronoi.voronoi_cell(b)
-        out = {
-            "dim": b.dim,
-            "volume": vc.volume,
-            "vertices": [list(row) for row in vc.vertices],
-            "normals": [list(row) for row in vc.normals],
-            "offsets": [float(x) for x in vc.offsets],
-        }
-        print(json.dumps(out))
-        if args.verify:
-            ref = oracle.brute_relevant(b, box=3)
-            if ref.count != len(vc.normals):
-                return _verify_fail("facet count differs from the facet oracle")
-            if abs(vc.volume - abs(b.det)) > 1e-9 * abs(b.det):
-                return _verify_fail("cell volume does not match |det B|")
-            _verify_ok("facet count and volume confirmed")
-        return 0
-
-    if cmd == "copies":
-        lattice = _resolve_basis(args, "lattice")
-        cell = _resolve_basis(args, "cell")
-        counts = copies.copy_counts(cell, lattice)
-        out = {
-            "h": [float(x) for x in counts.h],
-            "layers": list(counts.layers),
-            "per_axis": list(counts.per_axis),
-            "total": counts.total,
-        }
-        print(json.dumps(out))
-        if args.verify:
-            bad = _check_block_sufficiency(cell, lattice, counts.layers)
-            if bad is not None:
-                return _verify_fail(f"block misses a shorter image for pair {bad}")
-            _verify_ok("block distances match a larger brute-force block on sampled pairs")
-        return 0
-
-    if cmd == "cells":
-        lattice = _resolve_basis(args, "lattice")
-        found = cells.enumerate_ps(lattice)
-        out = [
-            {"coeffs": _int_columns(c.coeffs), "columns": _matrix_columns(c.basis.matrix)}
-            for c in found
-        ]
-        print(json.dumps(out))
-        if args.verify:
-            for c in found:
-                bad = _check_block_sufficiency(c.basis, lattice, (1,) * lattice.dim)
-                if bad is not None:
-                    return _verify_fail(
-                        f"candidate {c.canonical_key} misses an image for pair {bad}")
-            _verify_ok(f"all {len(found)} domains pass sampled 3^n sufficiency")
-        return 0
-
-    if cmd == "check-cell":
-        lattice = _resolve_basis(args, "lattice")
-        cell = _resolve_basis(args, "cell")
-        report = cells.check_cell(cell, lattice)
-        out = {
-            "sufficient": report.sufficient,
-            "ps_member": report.ps_member,
-            "cell_reduced": report.cell_reduced,
-            "copies": {
-                "h": [float(x) for x in report.counts.h],
-                "layers": list(report.counts.layers),
-                "per_axis": list(report.counts.per_axis),
-                "total": report.counts.total,
-            },
-        }
-        print(json.dumps(out))
-        if args.verify:
-            bad = _check_block_sufficiency(cell, lattice, report.counts.layers)
-            if bad is not None:
-                return _verify_fail(f"block misses a shorter image for pair {bad}")
-            _verify_ok("copy counts confirmed on sampled pairs")
-        return 0
-
-    if cmd == "dist":
-        b = _resolve_basis(args, "lattice")
-        p1 = _parse_point(args.p1, b.dim)
-        p2 = _parse_point(args.p2, b.dim)
-        res = min_image_distance(b, p1, p2)
-        out = {"distance": _sig12(res.distance), "image": list(res.image.coeffs)}
-        print(json.dumps(out))
-        if args.verify:
-            ref = oracle.brute_distance(b, p1, p2, _oracle_layers(b))
-            if abs(ref.distance - res.distance) > 1e-12 * max(1e-300, ref.distance):
-                return _verify_fail(
-                    f"distance {res.distance!r} vs brute force {ref.distance!r}")
-            _verify_ok(f"distance matches brute force ({ref.distance:.12g})")
-        return 0
-
-    if cmd == "matrix":
-        b = _resolve_basis(args, "lattice")
-        ps = _load_points(args.points, b)
-        mat = pairwise_distances(ps)
-        if args.format == "csv":
-            for row in mat:
-                print(",".join(f"{v:.12g}" for v in row))
-        else:
-            out = {
-                "labels": list(ps.labels) if ps.labels else None,
-                "distances": [[_sig12(v) for v in row] for row in mat],
-            }
-            print(json.dumps(out))
-        if args.verify:
-            k = _oracle_layers(b)
-            for i in range(len(ps)):
-                for j in range(i + 1, len(ps)):
-                    ref = oracle.brute_distance(b, ps.points[i], ps.points[j], k)
-                    if abs(ref.distance - mat[i, j]) > 1e-12 * max(1e-300, ref.distance):
-                        return _verify_fail(f"entry ({i}, {j}) differs from brute force")
-            _verify_ok("all entries match brute force")
-        return 0
-
-    if cmd == "neighbors":
-        b = _resolve_basis(args, "lattice")
-        if not (args.cutoff > 0 and math.isfinite(args.cutoff)):
-            raise UsageError("--cutoff must be positive and finite")
-        ps = _load_points(args.points, b)
-        hits = neighbors_within(ps, args.cutoff)
-        if args.format == "csv":
-            coords = ",".join(f"t{k+1}" for k in range(b.dim))
-            print(f"i,j,{coords},distance")
-            for i, j, img, d in hits:
-                print(f"{i},{j}," + ",".join(str(c) for c in img.coeffs)
-                      + f",{d:.12g}")
-        else:
-            out = {
-                "cutoff": _sig12(args.cutoff),
-                "count": len(hits),
-                "neighbors": [
-                    {"i": i, "j": j, "image": list(img.coeffs), "distance": _sig12(d)}
-                    for i, j, img, d in hits
-                ],
-            }
-            print(json.dumps(out))
-        if args.verify:
-            k = _oracle_layers(b)
-            for i, j, img, d in hits:
-                shift = np.asarray(img.coeffs, dtype=float)
-                direct = float(np.linalg.norm(
-                    b.matrix @ (ps.points[j] + shift - ps.points[i])))
-                if abs(direct - d) > 1e-12 * max(1e-300, direct):
-                    return _verify_fail(f"pair ({i}, {j}) distance is inconsistent")
-                ref = oracle.brute_distance(b, ps.points[i], ps.points[j], k)
-                if d < ref.distance * (1.0 - 1e-12):
-                    return _verify_fail(f"pair ({i}, {j}) beats the true minimum")
-            _verify_ok(f"{len(hits)} neighbor records consistent with brute force")
-        return 0
-
-    if cmd == "render":
-        lattice = _resolve_basis(args, "lattice")
-        cell = _resolve_basis(args, "cell", required=False)
-        path = render.render_2d(lattice, cell, args.out)
-        print(json.dumps({"out": str(path)}))
-        return 0
-
-    raise UsageError(f"unknown command {cmd!r}")
-
-
-def _check_block_sufficiency(cell: Basis, lattice: Basis, layers, samples: int = 200):
-    """Sampled check that the block minimum equals a larger block's minimum.
-
-    Returns an offending (p1, p2) pair or None.  Points are sampled in the
-    cell's fractional coordinates with a fixed seed.
-    """
-    rng = np.random.default_rng(171717)
-    n = cell.dim
-    big = [m + 3 for m in layers]
-    t_small = int_box(layers) @ cell.matrix.T
-    t_big = int_box(big) @ cell.matrix.T
-    for _ in range(samples):
-        p1 = rng.random(n)
-        p2 = rng.random(n)
-        delta = cell.matrix @ (p2 - p1)
-        d_small = float(np.linalg.norm(delta + t_small, axis=1).min())
-        d_big = float(np.linalg.norm(delta + t_big, axis=1).min())
-        if d_small - d_big > 1e-12 * max(1.0, d_big):
-            return (list(p1), list(p2))
-    return None
 
 
 if __name__ == "__main__":

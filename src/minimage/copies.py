@@ -53,6 +53,8 @@ def primitive_coeffs(cell: Basis, lattice: Basis) -> np.ndarray:
     Raises NotAPrimitiveCell unless the cell columns are integer
     combinations of the lattice columns with |det| = 1.
     """
+    if cell.dim != lattice.dim:
+        raise NotAPrimitiveCell(f"a {cell.dim}D cell cannot span a {lattice.dim}D lattice")
     z = lattice.inv @ cell.matrix
     zi = np.rint(z)
     scale = max(1.0, float(np.abs(zi).max()))

@@ -32,16 +32,6 @@ TOL_SINGULAR = 1e-10
 # Relative tolerance for numerical identities (round trips, integrality).
 TOL_NUM = 1e-9
 
-# Plain ndarrays; the aliases only document intent in signatures.
-FracPoint = np.ndarray
-CartPoint = np.ndarray
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype, order="C", copy=True)
-    out.flags.writeable = False
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class Basis:
@@ -55,7 +45,9 @@ class Basis:
     det: float
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
+        m = np.array(self.matrix, dtype=float, order="C", copy=True)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -77,20 +69,6 @@ class Basis:
         n = self.dim
         corners = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * n))).reshape(n, -1)
         return float(np.linalg.norm(self.matrix @ corners, axis=0).max())
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Pairwise inner products g_ij = v_i . v_j of a basis (length^2)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -172,7 +150,7 @@ def basis_to_cell_params(basis: Basis) -> tuple[float, float, float, float, floa
     """Recover (a, b, c, alpha, beta, gamma) from a 3D basis via its Gram matrix."""
     if basis.dim != 3:
         raise UnsupportedDimension("cell parameters are defined for 3D bases only")
-    g = gram_matrix(basis).entries
+    g = gram_matrix(basis)
     a, b, c = (math.sqrt(g[i, i]) for i in range(3))
     alpha = math.degrees(math.acos(g[1, 2] / (b * c)))
     beta = math.degrees(math.acos(g[0, 2] / (a * c)))
@@ -180,9 +158,10 @@ def basis_to_cell_params(basis: Basis) -> tuple[float, float, float, float, floa
     return a, b, c, alpha, beta, gamma
 
 
-def gram_matrix(basis: Basis) -> GramMatrix:
+def gram_matrix(basis: Basis) -> np.ndarray:
+    """Symmetric matrix of inner products g_ij = v_i . v_j (length^2)."""
     g = basis.matrix.T @ basis.matrix
-    return GramMatrix(entries=0.5 * (g + g.T))
+    return 0.5 * (g + g.T)
 
 
 def frac_to_cart(basis: Basis, frac) -> np.ndarray:

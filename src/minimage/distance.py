@@ -89,6 +89,15 @@ def _reduced_search_block(b: Basis) -> tuple[reduction.ReducedBasis, np.ndarray]
     return p.red, int_box([copies.ceil_snapped(float(x)) for x in h])
 
 
+def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer cell index and in-cell offset of reduced fractional
+    coordinates; ValueError at 2**53 or above, where floor is inexact."""
+    if not np.all(np.abs(f) < 2.0 ** 53):
+        raise ValueError("reduced fractional coordinates must be below 2**53 in magnitude")
+    w = np.floor(f)
+    return w.astype(np.int64), f - w
+
+
 def _pick_image(dd: np.ndarray, images: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Index and coefficients of the minimal image, ties broken lexically."""
     dmin = float(dd.min())
@@ -114,12 +123,8 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     rm = red.basis.matrix
     u = red.transform
     uinv = unimodular_inverse(u)
-    f1 = uinv @ p1
-    f2 = uinv @ p2
-    w1 = np.floor(f1).astype(np.int64)
-    w2 = np.floor(f2).astype(np.int64)
-    d1 = f1 - w1
-    d2 = f2 - w2
+    w1, d1 = _split_cells(uinv @ p1)
+    w2, d2 = _split_cells(uinv @ p2)
     disp = (d2 - d1)[None, :] + t
     dd = np.einsum("ij,ij->i", disp @ rm.T, disp @ rm.T)
     images = (t + (w1 - w2)[None, :]) @ u.T
@@ -201,9 +206,7 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     rm = red.basis.matrix
     u = red.transform
     uinv = unimodular_inverse(u)
-    fred = ps.points @ uinv.T
-    w = np.floor(fred).astype(np.int64)
-    fr = fred - w
+    w, fr = _split_cells(ps.points @ uinv.T)
 
     diam = 2.0 * float(np.linalg.norm(p.vertices, axis=1).max())
     widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)

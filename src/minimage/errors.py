@@ -27,3 +27,7 @@ class DegenerateCell(LatticeError):
 
 class NotAPrimitiveCell(LatticeError):
     """The cell is not a primitive cell of the given lattice."""
+
+
+class OracleBudgetExceeded(LatticeError):
+    """A brute-force search would exceed the oracle's fixed work budget."""

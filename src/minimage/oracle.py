@@ -3,7 +3,21 @@
 These are correctness anchors for tests and for the CLI --verify flag.
 They share only the lattice-core transforms with the fast paths: no basis
 reduction, no coset shortcuts, just exhaustive enumeration over coefficient
-boxes.
+boxes.  Every box a check searches is sized here by ``certified_layers``
+from the basis and the answer under test, never from copy counts: the
+translates t with |B (delta + t)| <= d satisfy |t_k| <= d ||row_k(B^-1)|| +
+|delta_k| (Fincke-Pohst; Agrell et al., "Closest point search in
+lattices", IEEE Trans. IT 48, 2002).  A distance is checked in the box of
+the reported distance, so a report that is too small fails as well; a block
+of copies in the box of each sampled pair's block distance; relevant
+vectors in the ball of radius R = sqrt(sum |b_i|^2), since a relevant r
+has |r| <= 2 mu <= R (mu the covering radius) and every point contesting
+its facet lies within |r|; and a reduced basis in the ball of its longest
+column.  Sizing a box that one check would search over more than
+ORACLE_BUDGET lattice points raises OracleBudgetExceeded, before anything
+is allocated.  A box the caller passes in is searched as given, in chunks,
+so memory stays bounded whatever its size.  Only ``minimality_witness``
+sizes its blocks from copy counts, which it tests by design.
 """
 
 from __future__ import annotations
@@ -15,60 +29,98 @@ import numpy as np
 
 from .core import Basis, LatticeVector, canonical_sign, int_box
 from .distance import DistanceResult
+from .errors import OracleBudgetExceeded
 from .voronoi import RelevantVectorSet, TIE_REL
 from . import copies as copies_mod
+from . import reduction
 from . import voronoi as voronoi_mod
 
 # Grid resolution per axis for the witness search; odd so the cell center
 # is sampled.  Misses are backstopped by the injected Voronoi vertex images.
 WITNESS_GRID = 33
 WITNESS_GAP = 1e-9
+# Most lattice points one certified check may evaluate: in 3D well under a
+# second, and at most about 90 MB where a box is held whole.
+ORACLE_BUDGET = 1 << 20
+# Relative slack on every certified radius, far above rounding error.
+_SLACK = 1e-9
 
 
-def brute_distance(b: Basis, p1, p2, layers: int) -> DistanceResult:
-    """Exhaustive minimum over all translates with coefficients in [-K, K]^n."""
-    if layers < 1:
+def _within_budget(points: int, what: str) -> None:
+    if points > ORACLE_BUDGET:
+        raise OracleBudgetExceeded(
+            f"{what} needs {points:,} lattice points, over the oracle budget "
+            f"of {ORACLE_BUDGET:,}")
+
+
+def certified_layers(b: Basis, radius: float, delta=0.0) -> tuple[int, ...]:
+    """Per-axis half-widths, at least 1, of a box holding every integer t
+    with |B (delta + t)| <= radius; OracleBudgetExceeded if the box holds
+    more than ORACLE_BUDGET lattice points."""
+    reach = (radius * (1.0 + _SLACK) * np.linalg.norm(b.inv, axis=1)
+             + np.abs(np.asarray(delta, dtype=float)))
+    layers = tuple(max(1, math.ceil(float(x))) for x in reach)
+    _within_budget(math.prod(2 * m + 1 for m in layers), "the certified box")
+    return layers
+
+
+def _box_rows(layers, chunk: int = 1 << 16):
+    """The rows of ``int_box(layers)``, in the same order, ``chunk`` at a time."""
+    m = np.asarray(layers, dtype=np.int64)
+    shape = tuple(int(x) for x in 2 * m + 1)
+    total = math.prod(shape)
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(total, start + chunk))
+        yield np.column_stack(np.unravel_index(flat, shape)) - m
+
+
+def brute_distance(b: Basis, p1, p2, layers) -> DistanceResult:
+    """Exhaustive minimum over all translates t with |t_k| <= layers[k]; an
+    int ``layers`` applies to every axis."""
+    layers = tuple(layers) if np.iterable(layers) else (layers,) * b.dim
+    if min(layers) < 1:
         raise ValueError("layers must be at least 1")
-    n = b.dim
     delta = np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float)
-    m = b.matrix
-    t_all = int_box((layers,) * n)
-    chunk = 200_000
-    best_d2 = math.inf
-    for start in range(0, len(t_all), chunk):
-        cart = (delta[None, :] + t_all[start:start + chunk]) @ m.T
-        best_d2 = min(best_d2, float(np.einsum("ij,ij->i", cart, cart).min()))
-    window = best_d2 * (1.0 + 2e-12)
-    best_img: tuple[int, ...] | None = None
-    for start in range(0, len(t_all), chunk):
-        t = t_all[start:start + chunk]
-        cart = (delta[None, :] + t) @ m.T
+    best_d2, tied = math.inf, []
+    for t in _box_rows(layers):
+        cart = (delta[None, :] + t) @ b.matrix.T
         d2 = np.einsum("ij,ij->i", cart, cart)
-        for i in np.flatnonzero(d2 <= window):
-            cand = tuple(int(x) for x in t[i])
-            if best_img is None or cand < best_img:
-                best_img = cand
-    d = float(np.linalg.norm(m @ (delta + np.asarray(best_img, dtype=float))))
-    return DistanceResult(distance=d, image=LatticeVector(best_img))
+        best_d2 = min(best_d2, float(d2.min()))
+        near = d2 <= best_d2 * (1.0 + 2e-12)
+        tied += zip(d2[near].tolist(), map(tuple, t[near].tolist()))
+    best = min(t for d2, t in tied if d2 <= best_d2 * (1.0 + 2e-12))
+    d = float(np.linalg.norm(b.matrix @ (delta + np.asarray(best, dtype=float))))
+    return DistanceResult(distance=d, image=LatticeVector(best))
 
 
-def brute_relevant(b: Basis, box: int) -> RelevantVectorSet:
-    """Facet criterion over a coefficient box: r is relevant iff r/2 is
-    strictly closer to {0, r} than to every other lattice point in the box."""
-    if box < 2:
+def brute_relevant(b: Basis, box: int | None = None) -> RelevantVectorSet:
+    """Facet criterion: r is relevant iff r/2 is strictly closer to {0, r}
+    than to every other lattice point.
+
+    The search covers the lattice points within R = sqrt(sum |b_i|^2) of
+    the origin, in their certified box or, when ``box`` is given, in the
+    coefficient box [-box, box]^n.
+    """
+    if box is not None and box < 2:
         raise ValueError("box must be at least 2")
-    n = b.dim
-    zs = int_box((box,) * n)
+    # Candidates lie within R, and a point contesting r within |r| (1 + 2 TIE_REL).
+    radius = math.sqrt(float((b.matrix ** 2).sum())) * (1.0 + TIE_REL)
+    reach = radius * (1.0 + 2.0 * TIE_REL)
+    layers = certified_layers(b, reach) if box is None else (box,) * b.dim
+    zs = np.vstack([t[np.linalg.norm(t @ b.matrix.T, axis=1) <= reach]
+                    for t in _box_rows(layers)])
     zs = zs[np.any(zs != 0, axis=1)]
     carts = zs @ b.matrix.T
+    norms = np.linalg.norm(carts, axis=1)
+    if box is None:
+        _within_budget(len(zs) ** 2, "the facet test")
     found = []
-    for z, r in zip(zs, carts):
-        mid = 0.5 * r
-        rnorm = float(np.linalg.norm(r))
-        thresh = 0.5 * rnorm + TIE_REL * rnorm
-        others = ~np.all(zs == z, axis=1)
+    for k in np.flatnonzero(norms <= radius):
+        mid = 0.5 * carts[k]
+        thresh = 0.5 * norms[k] + TIE_REL * norms[k]
+        others = np.arange(len(zs)) != k
         if np.linalg.norm(carts[others] - mid, axis=1).min() > thresh:
-            found.append(canonical_sign(z))
+            found.append(canonical_sign(zs[k]))
     uniq = sorted(set(found),
                   key=lambda t: (float(np.linalg.norm(b.matrix @ np.asarray(t, float))), t))
     carts = np.array([b.matrix @ np.asarray(t, float) for t in uniq])
@@ -76,8 +128,35 @@ def brute_relevant(b: Basis, box: int) -> RelevantVectorSet:
                              cartesians=carts)
 
 
-def minimality_witness(cell: Basis, lattice: Basis, axis: int,
-                       grid: int = WITNESS_GRID):
+def brute_reduced(b: Basis) -> bool:
+    """``reduction.is_reduced`` with its shortness search in a certified box."""
+    return reduction.is_reduced(b, box=certified_layers(b, float(b.column_norms().max())))
+
+
+def _block_minima(m: np.ndarray, deltas: np.ndarray, *blocks) -> list[np.ndarray]:
+    """Per row of ``deltas``, the minimum of |M delta + M t| over the rows t
+    of each block."""
+    cart = deltas @ m.T
+    return [np.linalg.norm(cart + (block @ m.T)[:, None, :], axis=-1).min(axis=0)
+            for block in blocks]
+
+
+def block_counterexample(cell: Basis, layers):
+    """Among 200 seeded point pairs of the cell, one that the block of
+    ``layers`` gets wrong, as (p1, p2) lists, or None.  The true minima come
+    from the union of the pairs' certified boxes."""
+    pairs = np.random.default_rng(171717).random((200, 2, cell.dim))
+    deltas = pairs[:, 1] - pairs[:, 0]
+    (d_small,) = _block_minima(cell.matrix, deltas, int_box(layers))
+    boxes = [certified_layers(cell, d, delta) for d, delta in zip(d_small, deltas)]
+    big = [max(axis) for axis in zip(*boxes)]
+    _within_budget(len(deltas) * math.prod(2 * m + 1 for m in big), "the block check")
+    (d_big,) = _block_minima(cell.matrix, deltas, int_box(big))
+    bad = np.flatnonzero(d_small - d_big > 1e-12 * np.maximum(1.0, d_big))
+    return (list(pairs[bad[0], 0]), list(pairs[bad[0], 1])) if len(bad) else None
+
+
+def minimality_witness(cell: Basis, lattice: Basis, axis: int):
     """Search for a point pair that breaks the block with one layer removed.
 
     Returns (p1, p2, gap) where the distance computed with layers[axis] - 1
@@ -99,21 +178,6 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int,
     restricted_layers[axis] -= 1
     restricted = int_box(restricted_layers)
     m = cell.matrix
-
-    full_sh = full @ m.T
-    res_sh = restricted @ m.T
-
-    def check(delta: np.ndarray):
-        true_d = np.linalg.norm(delta @ m.T + full_sh[:, None, :], axis=-1).min(axis=0)
-        res_d = np.linalg.norm(delta @ m.T + res_sh[:, None, :], axis=-1).min(axis=0)
-        hits = np.flatnonzero(res_d - true_d > WITNESS_GAP)
-        if len(hits):
-            k = int(hits[0])
-            d = delta[k]
-            p1 = np.maximum(0.0, -d)
-            return p1, p1 + d, float(res_d[k] - true_d[k])
-        return None
-
     vc = voronoi_mod.voronoi_cell(lattice)
     vertex_fracs = vc.vertices @ np.linalg.inv(m).T
     deltas = []
@@ -122,15 +186,15 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int,
         frac = base - np.floor(base)
         for shift in itertools.product((0.0, -1.0), repeat=n):
             deltas.append(frac + np.array(shift))
-    hit = check(np.vstack(deltas))
-    if hit is not None:
-        return hit
-
-    steps = np.arange(-(grid - 1), grid) / grid
-    delta_grid = np.array(list(itertools.product(steps, repeat=n)))
-    chunk = max(1, 200_000 // max(1, len(full)))
-    for start in range(0, len(delta_grid), chunk):
-        hit = check(delta_grid[start:start + chunk])
-        if hit is not None:
-            return hit
+    steps = np.arange(-(WITNESS_GRID - 1), WITNESS_GRID) / WITNESS_GRID
+    deltas = np.vstack(deltas + [np.array(list(itertools.product(steps, repeat=n)))])
+    chunk = max(1, 200_000 // len(full))
+    for start in range(0, len(deltas), chunk):
+        part = deltas[start:start + chunk]
+        res_d, true_d = _block_minima(m, part, restricted, full)
+        hits = np.flatnonzero(res_d - true_d > WITNESS_GAP)
+        if len(hits):
+            k = int(hits[0])
+            p1 = np.maximum(0.0, -part[k])
+            return p1, p1 + part[k], float(res_d[k] - true_d[k])
     return None

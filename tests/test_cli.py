@@ -276,3 +276,160 @@ def test_python_dash_m_bad_arguments_exit_2():
     proc = run_module("minimage.cli", "dist", "--lattice", "identity2", "--p1", "0 0")
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+# --- verification: certified boxes, perturbed fast paths, budget ------------
+
+SKEW = "1 0 -5 1"
+TILTED = "1 0 10.3 1"  # relevant vectors (10, -1) and (11, -1) lie outside box 3
+
+
+@pytest.mark.parametrize("cmd", ["relevant", "voronoi"])
+def test_verify_relevant_vectors_beyond_a_small_box(capsys, cmd):
+    code = run([cmd, "--lattice", TILTED, "--verify"])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "verify: ok" in err
+
+
+def test_distance_verifiers_do_not_read_copy_counts(capsys, monkeypatch, tmp_path):
+    import minimage.copies
+
+    def refuse(*args):
+        raise AssertionError("the oracle box must not come from copy_counts")
+
+    monkeypatch.setattr(minimage.copies, "copy_counts", refuse)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.1 0.1\n0.7 0.3\n0.45 0.9\n")
+    for argv in (["dist", "--lattice", SKEW, "--p1", "0 0", "--p2", "0.5 0.5"],
+                 ["matrix", "--lattice", SKEW, "--points", str(pts)],
+                 ["neighbors", "--lattice", SKEW, "--points", str(pts), "--cutoff", "1.2"]):
+        code = run(argv + ["--verify"])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "verify: ok" in err
+
+
+def _drop_nearest_hit(hits):
+    first = next(k for k, (i, j, _, _) in enumerate(hits) if i != j)
+    return hits[:first] + hits[first + 1:]
+
+
+def _perturbations():
+    """(argv, module, attribute, wrapper of the original) per verifier."""
+    from dataclasses import replace
+
+    import minimage.cells
+    import minimage.cli
+    import minimage.copies
+    import minimage.reduction
+    import minimage.voronoi
+    from minimage.cells import CellBasisCandidate
+    from minimage.core import validate_basis
+    from minimage.distance import DistanceResult
+    from minimage.reduction import ReducedBasis
+    from minimage.voronoi import RelevantVectorSet
+
+    def one_layer(counts):
+        return minimage.copies.counts_from_extents([min(h, 1.0) for h in counts.h])
+
+    def shrunk(res):
+        return DistanceResult(res.distance * (1 - 1e-9), res.image)
+
+    def scaled_matrix(mat):
+        mat = mat.copy()
+        mat[0, 1] = mat[1, 0] = mat[0, 1] * (1 + 1e-9)
+        return mat
+
+    skew_cell = CellBasisCandidate(coeffs=np.array([[1, -5], [0, 1]]),
+                                   basis=validate_basis(np.array([[1.0, -5.0], [0.0, 1.0]])),
+                                   canonical_key=((1, 0), (-5, 1)))
+    return {
+        "dist": (["dist", "--lattice", SKEW, "--p1", "0 0", "--p2", "0.5 0.5"],
+                 minimage.cli, "min_image_distance", lambda f: lambda *a: shrunk(f(*a))),
+        "matrix": (["matrix", "--lattice", SKEW, "--points", "{pts}"], minimage.cli,
+                   "pairwise_distances", lambda f: lambda ps: scaled_matrix(f(ps))),
+        "neighbors-distance": (
+            ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
+            minimage.cli, "neighbors_within",
+            lambda f: lambda ps, c: [(i, j, t, d * (1 + 1e-9)) for i, j, t, d in f(ps, c)]),
+        "neighbors-missing": (
+            ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
+            minimage.cli, "neighbors_within",
+            lambda f: lambda ps, c: _drop_nearest_hit(f(ps, c))),
+        "relevant": (["relevant", "--lattice", TILTED], minimage.voronoi, "relevant_vectors",
+                     lambda f: lambda b: RelevantVectorSet(vectors=f(b).vectors[:-1],
+                                                           cartesians=f(b).cartesians[:-1])),
+        "voronoi": (["voronoi", "--lattice", TILTED], minimage.voronoi, "voronoi_cell",
+                    lambda f: lambda b: replace(f(b), volume=f(b).volume * 1.001)),
+        "copies": (["copies", "--cell", SKEW, "--lattice", "identity2"], minimage.copies,
+                   "copy_counts", lambda f: lambda c, b: one_layer(f(c, b))),
+        "check-cell": (["check-cell", "--cell", SKEW, "--lattice", "identity2"],
+                       minimage.cells, "check_cell",
+                       lambda f: lambda c, b: replace(f(c, b),
+                                                      counts=one_layer(f(c, b).counts))),
+        "cells": (["cells", "--lattice", "identity2"], minimage.cells, "enumerate_ps",
+                  lambda f: lambda b: f(b) + [skew_cell]),
+        "reduce": (["reduce", "--lattice", TILTED], minimage.reduction, "reduce",
+                   lambda f: lambda b: ReducedBasis(basis=b, transform=np.eye(b.dim))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_perturbations()))
+def test_verify_reports_a_perturbed_fast_path(capsys, monkeypatch, tmp_path, case):
+    argv, module, name, wrap = _perturbations()[case]
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.1 0.1\n0.7 0.3\n")
+    argv = [a.replace("{pts}", str(pts)) for a in argv]
+    assert run(argv + ["--verify"]) == 0
+    assert "verify: ok" in capsys.readouterr().err
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code = run(argv + ["--verify"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "verify: MISMATCH" in err
+
+
+def test_verify_over_budget_is_skipped_promptly(capsys):
+    import time
+
+    from conftest import random_cond_basis
+
+    b = random_cond_basis(np.random.default_rng(7), 3, 1e6)
+    argv = ["dist", "--lattice", " ".join(repr(float(x)) for x in b.matrix.T.ravel()),
+            "--p1", "0.1 0.2 0.3", "--p2", "0.7 0.1 0.9"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    start = time.perf_counter()
+    code = run(argv + ["--verify"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == plain
+    assert "verify: skipped:" in captured.err and "budget" in captured.err
+    assert elapsed < 10.0
+
+
+# --- typed errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cmd", ["copies", "check-cell", "render"])
+def test_cell_and_lattice_dimensions_must_match(capsys, tmp_path, cmd):
+    out = ["--out", str(tmp_path / "x.svg")] if cmd == "render" else []
+    assert run([cmd, "--cell", "identity3", "--lattice", "identity2", *out]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_points_file_with_wrong_label_count_is_usage_error(capsys, tmp_path):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": ["a"]}))
+    assert run(["matrix", "--lattice", "identity2", "--points", str(pts)]) == 2
+    assert "labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p1", ["1e19 1e19", "1e300 0"])
+def test_huge_coordinates_are_usage_errors(capsys, p1):
+    assert run(["dist", "--lattice", "identity2", "--p1", p1, "--p2", "0 0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2**53" in captured.err

@@ -61,6 +61,13 @@ def test_not_a_primitive_cell(identity2):
                        identity2)
 
 
+def test_dimension_mismatch_is_not_a_primitive_cell(identity2, identity3):
+    with pytest.raises(mi.NotAPrimitiveCell, match="3D cell"):
+        mi.copy_counts(identity3, identity2)
+    with pytest.raises(mi.NotAPrimitiveCell):
+        mi.check_cell(identity2, identity3)
+
+
 def test_scale_invariance(identity2):
     cell = mi.validate_basis(SKEW_2D)
     for s in (0.1, 3.0, 250.0):

@@ -140,7 +140,7 @@ def test_wrap_frac_edges():
 
 def test_gram_matrices_positive_definite():
     for b in basis_pool():
-        g = mi.gram_matrix(b).entries
+        g = mi.gram_matrix(b)
         assert np.array_equal(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
 

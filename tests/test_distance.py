@@ -349,3 +349,19 @@ def test_neighbors_rejects_non_finite_cutoff(identity2, cutoff):
     ps = mi.PeriodicPointSet(identity2, [[0.0, 0.0]])
     with pytest.raises(ValueError, match="cutoff"):
         mi.neighbors_within(ps, cutoff)
+
+
+# --- coordinates too large to floor exactly -----------------------------------
+
+
+@pytest.mark.parametrize("big", [1e19, 1e300])
+def test_min_image_distance_rejects_unfloorable_coordinates(identity2, big):
+    # 1e19 once gave 2.7e19 with image (-2**63, -2**63); 1e300 gave inf
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        mi.min_image_distance(identity2, [big, big], [0.0, 0.0])
+
+
+def test_min_image_distance_below_the_floor_bound(identity2):
+    res = mi.min_image_distance(identity2, [1e15 + 0.25, 0.0], [0.0, 0.0])
+    assert res.distance == 0.25
+    assert res.image.coeffs == (10 ** 15, 0)

@@ -105,3 +105,82 @@ def test_witness_pair_is_valid(identity2):
     # gap is measured against the restricted block on axis 0
     cc = mi.copy_counts(cell, identity2)
     assert cc.layers[0] == 3
+
+
+# --- certified boxes and the work budget --------------------------------------
+
+TILTED_2D = np.array([[1.0, 10.3], [0.0, 1.0]])  # columns (1, 0), (10.3, 1)
+
+
+def test_certified_layers_hold_every_close_translate():
+    import itertools
+
+    rng = np.random.default_rng(63)
+    for i in range(20):
+        n = 2 if i % 2 == 0 else 3
+        b = random_cond_basis(rng, n, 10 ** rng.uniform(0, 2))
+        radius = float(rng.uniform(0.1, 2.0)) * float(b.column_norms().max())
+        delta = rng.uniform(-3, 3, size=n)
+        layers = mi.oracle.certified_layers(b, radius, delta)
+        wide = [m + 4 for m in layers]
+        t = np.array(list(itertools.product(*[range(-m, m + 1) for m in wide])))
+        close = t[np.linalg.norm((delta + t) @ b.matrix.T, axis=1) <= radius]
+        assert np.all(np.abs(close) <= np.array(layers))
+
+
+def test_brute_distance_accepts_per_axis_layers():
+    b = mi.validate_basis(SKEW_2D)
+    assert (mi.oracle.brute_distance(b, [0, 0], [0.5, 0.5], (6, 2))
+            == mi.oracle.brute_distance(b, [0, 0], [0.5, 0.5], 6))
+
+
+def test_brute_relevant_certified_box_matches_fast_path():
+    rng = np.random.default_rng(64)
+    bases = [mi.validate_basis(TILTED_2D)]
+    bases += [random_cond_basis(rng, 2 + i % 2, 10 ** rng.uniform(0, 1.5)) for i in range(10)]
+    for b in bases:
+        assert mi.oracle.brute_relevant(b).coeff_set() == mi.relevant_vectors(b).coeff_set()
+    assert {(10, -1), (11, -1)} <= mi.oracle.brute_relevant(bases[0]).coeff_set()
+
+
+def test_brute_reduced(identity3):
+    assert mi.oracle.brute_reduced(identity3)
+    assert mi.oracle.brute_reduced(mi.reduce(mi.validate_basis(TILTED_2D)).basis)
+    assert not mi.oracle.brute_reduced(mi.validate_basis(TILTED_2D))
+
+
+def test_block_counterexample(identity2):
+    cell = mi.validate_basis(SKEW_2D)  # needs layers (3, 1)
+    assert mi.oracle.block_counterexample(cell, (3, 1)) is None
+    p1, p2 = mi.oracle.block_counterexample(cell, (1, 1))
+    shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)]) @ cell.matrix.T
+    d_block = np.linalg.norm(cell.matrix @ (np.array(p2) - p1) + shifts, axis=1).min()
+    assert d_block > mi.min_image_distance(cell, p1, p2).distance + 1e-9
+
+
+def test_certified_searches_over_budget_raise_before_allocating():
+    assert issubclass(mi.OracleBudgetExceeded, mi.LatticeError)
+    skewed = mi.validate_basis(np.array([[1.0, 1e4, 0.0], [0.0, 1.0, 1e4], [0.0, 0.0, 1.0]]))
+    with pytest.raises(mi.OracleBudgetExceeded):
+        mi.oracle.certified_layers(skewed, 1.0)
+    with pytest.raises(mi.OracleBudgetExceeded):
+        mi.oracle.brute_relevant(skewed)
+    with pytest.raises(mi.OracleBudgetExceeded):
+        mi.oracle.brute_reduced(skewed)
+    with pytest.raises(mi.OracleBudgetExceeded):
+        mi.oracle.block_counterexample(skewed, (1, 1, 1))
+
+
+def test_brute_distance_searches_a_given_box_in_chunks(identity3):
+    """A caller's box is searched whole, without holding all of its rows."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        res = mi.oracle.brute_distance(identity3, [0.1, 0.1, 0.1], [0.9, 0.2, 0.1], 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.distance == pytest.approx(np.hypot(0.2, 0.1), rel=1e-12)
+    assert res.image.coeffs == (-1, 0, 0)
+    assert peak < 32 * 2 ** 20  # the 121^3-row box alone is 42 MB of integers
