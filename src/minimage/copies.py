@@ -55,19 +55,18 @@ def primitive_coeffs(cell: Basis, lattice: Basis) -> np.ndarray:
     """
     if cell.dim != lattice.dim:
         raise NotAPrimitiveCell(f"a {cell.dim}D cell cannot span a {lattice.dim}D lattice")
-    z = lattice.inv @ cell.matrix
-    zi = np.rint(z)
-    scale = max(1.0, float(np.abs(zi).max()))
-    if float(np.abs(z - zi).max()) > TOL_NUM * scale:
+    # Judged by backward error; the solve's forward error grows with cond(B).
+    zi = np.rint(np.linalg.solve(lattice.matrix, cell.matrix))
+    resid = np.linalg.norm(lattice.matrix @ zi - cell.matrix, axis=0)
+    if np.any(resid > TOL_NUM * np.linalg.norm(cell.matrix, axis=0)):
         raise NotAPrimitiveCell(
             "cell columns are not integer combinations of the lattice basis"
         )
-    zi = zi.astype(np.int64)
     if abs(int_det(zi)) != 1:
         raise NotAPrimitiveCell(
             "cell spans a proper sublattice (|det| != 1 in lattice coordinates)"
         )
-    return zi
+    return zi.astype(np.int64)
 
 
 def domain_extents(cell: Basis, lattice: Basis) -> np.ndarray:

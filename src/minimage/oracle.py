@@ -27,12 +27,11 @@ import math
 
 import numpy as np
 
-from .core import Basis, LatticeVector, canonical_sign, int_box
+from .core import Basis, LatticeVector, canonical_sign, int_box, int_det
 from .distance import DistanceResult
 from .errors import OracleBudgetExceeded
 from .voronoi import RelevantVectorSet, TIE_REL
 from . import copies as copies_mod
-from . import reduction
 from . import voronoi as voronoi_mod
 
 # Grid resolution per axis for the witness search; odd so the cell center
@@ -129,8 +128,30 @@ def brute_relevant(b: Basis, box: int | None = None) -> RelevantVectorSet:
 
 
 def brute_reduced(b: Basis) -> bool:
-    """``reduction.is_reduced`` with its shortness search in a certified box."""
-    return reduction.is_reduced(b, box=certified_layers(b, float(b.column_norms().max())))
+    """True iff the columns of ``b`` attain the successive minima in order,
+    pairwise obtuse if some shortest basis can be so signed: any in 2D, in
+    3D one whose pairwise inner products have a product <= 0, which no sign
+    flip changes.  The search covers the certified ball of the longest column."""
+    m, norms = b.matrix, b.column_norms()
+    zs = np.vstack([t[np.linalg.norm(t @ m.T, axis=1) <= norms.max() * (1.0 + _SLACK)]
+                    for t in _box_rows(certified_layers(b, float(norms.max())))])
+    lens = np.linalg.norm(zs @ m.T, axis=1)
+    levels = [zs[np.abs(lens - x) <= _SLACK * x] for x in norms]
+    # Column k is no longer than any vector independent of columns < k.
+    if not all(lens[np.any(zs[:, k:] != 0, axis=1)].min() >= norms[k] * (1.0 - _SLACK)
+               for k in range(b.dim)):
+        return False
+    return max(_cosines(m)) <= 0.0 or b.dim == 3 and all(
+        abs(int_det(z)) != 1 or np.prod(_cosines(m @ np.transpose(z))) > 0
+        for z in itertools.product(*levels))
+
+
+def _cosines(m: np.ndarray) -> np.ndarray:
+    """Cosines of the column pairs of ``m``, snapped to 0 within _SLACK."""
+    g = m.T @ m
+    i, j = np.triu_indices(len(g), 1)
+    c = g[i, j] / np.sqrt(g[i, i] * g[j, j])
+    return np.where(np.abs(c) <= _SLACK, 0.0, c)
 
 
 def _block_minima(m: np.ndarray, deltas: np.ndarray, *blocks) -> list[np.ndarray]:

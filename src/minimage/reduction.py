@@ -1,22 +1,20 @@
 """Shortest lattice bases in 2D and 3D, sign-normalized toward obtuseness.
 
-The normal form produced here is a basis of shortest linearly independent
-lattice vectors, ordered by norm, with signs chosen so that all pairwise
-inner products are non-positive (enclosed angles >= 90 degrees) whenever
-such a signing exists; in 2D it always does, in 3D a small family of
-lattices admits none and shortness takes precedence.
+The output is a basis of shortest linearly independent lattice vectors,
+ordered by norm, signed so that all pairwise inner products are
+non-positive whenever some shortest basis admits that.  Every 2D basis
+does; a 3D triple does iff g12 g13 g23 <= 0, a product no sign flip
+changes, and about half of random 3D lattices have a shortest basis,
+unique up to signs, with a positive product.  Shortness takes precedence.
 
-2D uses the Lagrange-Gauss iteration, which is optimal outright.  3D runs
-a Selling iteration on the superbase (v1, v2, v3, -v1-v2-v3): while any of
-the six pairwise inner products is positive, the worst pair is flipped,
-which strictly decreases the norm-square sum.  After convergence the
-vectors attaining the successive minima all have coefficients in
-{-1, 0, 1} with respect to the superbase, so an exhaustive search over
-those candidates finds every shortest unimodular triple.
-
-The output is deterministic: ties in norm are broken by maximizing the
-flattened Cartesian column tuple over all admissible orderings and sign
-patterns, which keeps e.g. the identity basis fixed.
+A pairwise Lagrange-Gauss reduction gives the 2D answer and the starting
+superbase (v1, v2, v3, -v1-v2-v3) of the 3D Selling iteration: while any
+of its six pairwise inner products is positive, the worst pair is flipped,
+which strictly decreases the norm-square sum.  The vectors attaining the
+successive minima then have coefficients in {-1, 0, 1} with respect to the
+superbase, so one pass over the unimodular triples of those candidates
+finds every shortest triple, ties within NORM_TIE included, and
+_ranked_config picks among them deterministically.
 """
 
 from __future__ import annotations
@@ -26,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, canonical_sign, int_box, int_det, validate_basis
+from .core import Basis, int_box, validate_basis
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
 # Cosines smaller than this in magnitude are snapped to zero, so exact
 # 90 degree angles are recognized as such.
 COS_SNAP = 1e-9
+# Sorted norm profiles within this relative window of the shortest count
+# as tied, so rounding cannot choose among tied shortest triples.
+NORM_TIE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,17 +60,13 @@ class ReducedBasis:
 def reduce(b: Basis) -> ReducedBasis:
     """Reduce ``b`` to a shortest basis of the same lattice.
 
-    Shortness always wins: the output attains the successive minima.  Among
-    the sign choices of a shortest triple an all-obtuse one is preferred
-    and almost always exists; a small family of 3D lattices admits no
-    shortest basis with pairwise non-positive inner products, and for those
-    the sign pattern with the least acute violation is returned instead
-    (is_reduced reports such bases honestly as not fully reduced).
+    Shortness always wins: the output attains the successive minima.  It is
+    all-obtuse whenever some shortest basis admits that; otherwise (about
+    half of 3D lattices) the signing with the least acute violation is
+    returned, and is_reduced reports it as not fully reduced.
     """
-    if b.dim == 2:
-        triples = [_gauss_columns(b)]
-    else:
-        triples = _selling_shortest_triples(b)
+    cols = _gauss_columns(b.matrix)
+    triples = [cols] if b.dim == 2 else _selling_shortest_triples(b.matrix, cols)
     _, best_cols = min((_ranked_config(b.matrix, tri) for tri in triples),
                        key=lambda cfg: cfg[0])
     u = np.column_stack(best_cols).astype(np.int64)
@@ -105,92 +102,75 @@ def _norm2(m: np.ndarray, z: np.ndarray) -> float:
     return float(c @ c)
 
 
-def _gauss_columns(b: Basis) -> list[np.ndarray]:
-    m = b.matrix
-    u = np.array([1, 0], dtype=np.int64)
-    v = np.array([0, 1], dtype=np.int64)
-    if _norm2(m, u) > _norm2(m, v):
-        u, v = v, u
+def _gauss_columns(m: np.ndarray) -> list[np.ndarray]:
+    """Pairwise Lagrange-Gauss reduction of the columns of ``m``.
+
+    Columns stay in ascending norm.  Column k is rounded against each
+    shorter column in turn; if the result is no shorter than column k - 1
+    the steps move on to column k + 1, otherwise it drops to its place and
+    the steps resume there.  For n = 2 this is Lagrange-Gauss.
+    """
+    cols = sorted(((_norm2(m, z), z) for z in np.eye(len(m), dtype=np.int64)),
+                  key=lambda c: c[0])
+    k = 1
     for _ in range(MAX_ITERATIONS):
-        cu = m @ u
-        cv = m @ v
-        t = round(float(cu @ cv) / float(cu @ cu))
-        v = v - t * u
-        if _norm2(m, v) >= _norm2(m, u):
-            return [u, v]
-        u, v = v, u
+        if k == len(cols):
+            return [z for _, z in cols]
+        v2, v = cols.pop(k)
+        w = v
+        for u2, u in cols[:k]:
+            w = w - round(float((m @ u) @ (m @ w)) / u2) * u
+        w2 = _norm2(m, w)
+        p = sum(u2 <= w2 for u2, _ in cols[:k])
+        # Rounding at a norm tie can lengthen a column by noise.  Only the
+        # last column keeps such a step, as Lagrange-Gauss does, so the
+        # columns stay sorted, never grow, and the steps terminate.
+        if p == k < len(cols) and w2 > v2:
+            w2, w = v2, v
+        cols.insert(p, (w2, w))
+        k = max(p, 1) if p < k else k + 1
     raise ReductionNonConvergence(
         f"Lagrange-Gauss did not converge in {MAX_ITERATIONS} steps"
     )
 
 
-def _selling_shortest_triples(b: Basis) -> list[list[np.ndarray]]:
-    """Selling-reduce, then collect the shortest unimodular triples.
-
-    After a Selling-reduced superbase is reached, every vector attaining a
-    successive minimum has coefficients in {-1, 0, 1} with respect to it,
-    so the exhaustive search below returns every unimodular triple
-    achieving the minimal sorted norm profile, as integer coefficient
-    columns with respect to the input basis.
-    """
-    m = b.matrix
-    s = np.array([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]], dtype=np.int64)
-    pairs = list(itertools.combinations(range(4), 2))
+def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Selling-reduce the superbase of ``start``; return every unimodular
+    candidate triple whose sorted norm profile ties the lexicographic
+    minimum within NORM_TIE, as coefficient columns in the input basis."""
+    s = np.column_stack(start + [-sum(start)])
     for _ in range(MAX_ITERATIONS):
         c = m @ s
         norms = np.linalg.norm(c, axis=0)
-        worst = None
-        worst_dot = 0.0
-        for i, j in pairs:
-            d = float(c[:, i] @ c[:, j])
-            if d > COS_SNAP * norms[i] * norms[j] and d > worst_dot:
-                worst = (i, j)
-                worst_dot = d
-        if worst is None:
+        # Flip the pair with the largest inner product above the snap.
+        d = np.triu(c.T @ c, 1)
+        d[d <= COS_SNAP * np.outer(norms, norms)] = 0.0
+        if not d.any():
             break
-        i, j = worst
-        k, l = (x for x in range(4) if x not in (i, j))
-        wi = s[:, i].copy()
-        s[:, k] += wi
-        s[:, l] += wi
-        s[:, i] = -wi
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        s[:, [x for x in range(4) if x not in (i, j)]] += s[:, [i]]
+        s[:, i] *= -1
     else:
         raise ReductionNonConvergence(
             f"Selling iteration did not converge in {MAX_ITERATIONS} steps"
         )
 
-    s3 = s[:, :3]
-    seen = set()
-    cands = []
-    for z in itertools.product((-1, 0, 1), repeat=3):
-        if not any(z):
-            continue
-        key = canonical_sign(z)
-        if key in seen:
-            continue
-        seen.add(key)
-        cands.append(np.array(key, dtype=np.int64))
-    carts = np.array([m @ (s3 @ z) for z in cands])
-    n2 = np.einsum("ij,ij->i", carts, carts)
-    order = np.argsort(n2, kind="stable")
-    cands = [cands[i] for i in order]
-    n2 = n2[order]
+    w = _CANDIDATES @ s[:, :3].T
+    profiles = np.sort(np.linalg.norm(w @ m.T, axis=1)[_TRIPLES], axis=1)
+    # The tie-aware lexicographic minimum; the first row at each running
+    # minimum survives its filter, so the result is never empty.
+    keep = np.ones(len(_TRIPLES), dtype=bool)
+    for k in range(3):
+        keep &= profiles[:, k] <= profiles[keep, k].min() * (1.0 + NORM_TIE)
+    return [list(w[tri]) for tri in _TRIPLES[keep]]
 
-    best_profile = None
-    best: list[tuple[int, int, int]] = []
-    for i, j, k in itertools.combinations(range(len(cands)), 3):
-        profile = (n2[i], n2[j], n2[k])
-        if best_profile is not None and profile > best_profile:
-            continue
-        if abs(int_det(np.column_stack([cands[i], cands[j], cands[k]]))) != 1:
-            continue
-        if best_profile is None or profile < best_profile:
-            best_profile = profile
-            best = [(i, j, k)]
-        else:
-            best.append((i, j, k))
-    # The identity triple is unimodular, so the search cannot come back empty.
-    return [[s3 @ cands[i] for i in tri] for tri in best]
+
+# The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and
+# the index triples of those with determinant +-1 (exact once rounded, for
+# such entries).  The superbase is unimodular, so it keeps these triples.
+_CANDIDATES = int_box((1, 1, 1))[14:]
+_TRIPLES = np.array(list(itertools.combinations(range(13), 3)))
+_TRIPLES = _TRIPLES[np.abs(np.linalg.det(_CANDIDATES[_TRIPLES])).round() == 1]
 
 
 def _ranked_config(matrix: np.ndarray, cols: list[np.ndarray]):

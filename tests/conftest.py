@@ -93,6 +93,18 @@ def random_cond_basis(rng, n: int, cond: float) -> mi.Basis:
     return mi.validate_basis(q1 @ np.diag(s) @ q2 * rng.uniform(0.5, 2.0))
 
 
+def skewed_basis(rng, matrix, cond: float) -> mi.Basis:
+    """The lattice of ``matrix``, randomly rotated, through a basis built by
+    random +-1 column shears until its condition number reaches ``cond``."""
+    n = len(matrix)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q @ matrix
+    while np.linalg.cond(m) < cond:
+        i, j = rng.choice(n, size=2, replace=False)
+        m[:, j] += (1.0 if rng.random() < 0.5 else -1.0) * m[:, i]
+    return mi.validate_basis(m)
+
+
 def random_unimodular(rng, n: int, steps: int = 6, kmax: int = 3) -> np.ndarray:
     u = np.eye(n, dtype=np.int64)
     for _ in range(steps):
@@ -152,10 +164,12 @@ def random_obtuse_3d(rng, distort: bool = False) -> mi.Basis:
 # ---------------------------------------------------------------------------
 # Enumeration oracles (independent of the reduction / coset fast paths)
 
-def enumerated_minima(matrix: np.ndarray, box: int) -> np.ndarray:
-    """Successive minima of the lattice by greedy rank over a coefficient box."""
+def enumerated_minima(matrix: np.ndarray, box) -> np.ndarray:
+    """Successive minima of the lattice by greedy rank over a coefficient box
+    (|z_k| <= box, or box[k])."""
     n = matrix.shape[0]
-    zs = np.array(list(itertools.product(range(-box, box + 1), repeat=n)))
+    zs = np.array(list(itertools.product(*[range(-k, k + 1)
+                                           for k in np.broadcast_to(box, (n,))])))
     zs = zs[np.any(zs != 0, axis=1)]
     lens = np.linalg.norm(zs @ matrix.T, axis=1)
     order = np.argsort(lens, kind="stable")
@@ -169,6 +183,14 @@ def enumerated_minima(matrix: np.ndarray, box: int) -> np.ndarray:
             if len(chosen) == n:
                 break
     return np.array(vals)
+
+
+def gram_cosines(m: np.ndarray) -> list[float]:
+    """Cosines of the column pairs (i, j), i < j, of ``m``."""
+    g = m.T @ m
+    nr = np.sqrt(np.diag(g))
+    return [g[i, j] / (nr[i] * nr[j])
+            for i, j in itertools.combinations(range(m.shape[0]), 2)]
 
 
 def brute_voronoi(red: mi.Basis) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,8 @@ import pytest
 
 from minimage.cli import run
 
+from conftest import NO_OBTUSE_SHORTEST_3D
+
 
 def run_json(capsys, argv):
     code = run(argv)
@@ -188,6 +190,9 @@ def test_exit_code_usage_errors(capsys):
     ["voronoi", "--lattice", "identity3"],
     ["copies", "--cell", "1 0 -5 1", "--lattice", "identity2"],
     ["reduce", "--lattice", "1 0 10.3 1"],
+    # no all-obtuse shortest basis: the acute pair is right
+    ["reduce", "--cell-params", "1 1.1 1.2 80 80 80"],
+    ["reduce", "--lattice", " ".join(map(repr, NO_OBTUSE_SHORTEST_3D.T.ravel().tolist()))],
 ])
 def test_verify_passes(capsys, argv):
     code = run(argv + ["--verify"])

@@ -61,6 +61,23 @@ def test_not_a_primitive_cell(identity2):
                        identity2)
 
 
+@pytest.mark.parametrize("cond", [1e8, 1e10])
+def test_own_basis_is_primitive_at_high_conditioning(cond):
+    """Integrality is judged by backward error, which does not grow with the
+    conditioning; a cell off the lattice by 1e-6 of a column still raises."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        b = random_cond_basis(rng, 2, cond)
+        assert np.array_equal(mi.copies.primitive_coeffs(b, b), np.eye(2, dtype=np.int64))
+        mi.copy_counts(b, b)
+        red = mi.reduce(b)
+        assert np.array_equal(mi.copies.primitive_coeffs(red.basis, b), red.transform)
+        near = b.matrix.copy()
+        near[:, 1] *= 1.0 + 1e-6
+        with pytest.raises(mi.NotAPrimitiveCell):
+            mi.copy_counts(mi.validate_basis(near), b)
+
+
 def test_dimension_mismatch_is_not_a_primitive_cell(identity2, identity3):
     with pytest.raises(mi.NotAPrimitiveCell, match="3D cell"):
         mi.copy_counts(identity3, identity2)

@@ -3,7 +3,14 @@ import pytest
 
 import minimage as mi
 
-from conftest import HEX_2D, SKEW_2D, random_cond_basis
+from conftest import (
+    FCC,
+    HEX_2D,
+    NO_OBTUSE_SHORTEST_3D,
+    SKEW_2D,
+    gram_cosines,
+    random_cond_basis,
+)
 
 
 def test_brute_distance_wraparound(identity2):
@@ -147,6 +154,37 @@ def test_brute_reduced(identity3):
     assert mi.oracle.brute_reduced(identity3)
     assert mi.oracle.brute_reduced(mi.reduce(mi.validate_basis(TILTED_2D)).basis)
     assert not mi.oracle.brute_reduced(mi.validate_basis(TILTED_2D))
+
+
+def test_brute_reduced_accepts_shortest_bases_without_an_obtuse_signing():
+    """About half of 3D lattices have a shortest basis, unique up to signs,
+    whose pairwise inner products have a positive product: no signing of it
+    is all-obtuse, so an acute pair is no mismatch."""
+    for b in (mi.validate_basis(NO_OBTUSE_SHORTEST_3D),
+              mi.cell_params_to_basis(1, 1.1, 1.2, 80, 80, 80)):
+        red = mi.reduce(b)
+        assert max(gram_cosines(red.basis.matrix)) > 0
+        assert mi.oracle.brute_reduced(red.basis)
+
+
+@pytest.mark.parametrize("matrix", [HEX_2D, FCC, None])
+def test_brute_reduced_rejects_a_negated_column_of_an_obtuse_basis(matrix):
+    b = (mi.cell_params_to_basis(1, 1.1, 1.2, 100, 95, 98) if matrix is None
+         else mi.validate_basis(matrix))
+    m = mi.reduce(b).basis.matrix
+    assert max(gram_cosines(m)) <= 1e-9 and mi.oracle.brute_reduced(mi.validate_basis(m))
+    m = m.copy()
+    m[:, 1] *= -1
+    assert not mi.oracle.brute_reduced(mi.validate_basis(m))
+
+
+def test_brute_reduced_rejects_obtuse_bases_that_are_not_shortest():
+    misordered = np.diag([2.0, 1.0, 1.5])
+    long_second = np.array([[1.0, -3.0], [0.0, 0.1]])  # (0, 0.1) is shorter
+    long_third = np.array([[1.0, 0.0, -2.0], [0.0, 1.0, -2.0], [0.0, 0.0, 1.0]])
+    for m in (misordered, long_second, long_third):
+        assert max(gram_cosines(m)) <= 0
+        assert not mi.oracle.brute_reduced(mi.validate_basis(m))
 
 
 def test_block_counterexample(identity2):

@@ -10,20 +10,17 @@ from minimage.core import int_det
 
 from conftest import (
     FCC,
+    HEX_2D,
     NO_OBTUSE_SHORTEST_3D,
     basis_pool,
     enumerated_minima,
+    gram_cosines,
     random_obtuse_2d,
     random_obtuse_3d,
+    random_cond_basis,
     random_unimodular,
+    skewed_basis,
 )
-
-
-def _gram_cosines(m):
-    g = m.T @ m
-    nr = np.sqrt(np.diag(g))
-    return [g[i, j] / (nr[i] * nr[j])
-            for i, j in itertools.combinations(range(m.shape[0]), 2)]
 
 
 def test_identity_2d_is_fixed():
@@ -56,7 +53,7 @@ def test_hexagonal_3d_reduction():
     b = mi.cell_params_to_basis(1, 1, 1, 90, 90, 120)
     red = mi.reduce(b)
     assert np.allclose(red.norms, 1.0, atol=1e-9)
-    cos = sorted(_gram_cosines(red.basis.matrix))
+    cos = sorted(gram_cosines(red.basis.matrix))
     assert cos[0] == pytest.approx(-0.5, abs=1e-9)
     assert cos[1] == pytest.approx(0.0, abs=1e-9)
     assert cos[2] == pytest.approx(0.0, abs=1e-9)
@@ -65,7 +62,7 @@ def test_hexagonal_3d_reduction():
 def test_fcc_reduction():
     red = mi.reduce(mi.validate_basis(FCC))
     assert np.allclose(red.norms, np.sqrt(2.0), atol=1e-12)
-    assert all(c <= 1e-9 for c in _gram_cosines(red.basis.matrix))
+    assert all(c <= 1e-9 for c in gram_cosines(red.basis.matrix))
     assert np.allclose(sorted(red.norms), enumerated_minima(FCC, 4), rtol=1e-12)
 
 
@@ -136,7 +133,7 @@ def test_lattice_without_obtuse_shortest_basis():
     assert not mi.is_reduced(red.basis)
     # exactly one acute pair remains, and no signing removes it: the product
     # of the three pairwise inner products is positive
-    cos = _gram_cosines(red.basis.matrix)
+    cos = gram_cosines(red.basis.matrix)
     assert sum(1 for c in cos if c > 1e-9) == 1
     assert np.prod(cos) > 0
 
@@ -146,3 +143,57 @@ def test_reduction_is_deterministic():
     r1 = mi.reduce(b)
     r2 = mi.reduce(b)
     assert np.array_equal(r1.transform, r2.transform)
+
+
+def test_skewed_fcc_reduces_to_an_all_obtuse_basis():
+    """Rotated FCC through skewed bases: every shortest triple is tied, and
+    an all-obtuse one exists, so the result must be all-obtuse."""
+    rng = np.random.default_rng(606)
+    for cond in (1e2, 1e3) * 30:
+        b = skewed_basis(rng, FCC, cond)
+        red = mi.reduce(b)
+        assert np.allclose(red.norms, red.norms[0], rtol=1e-9)
+        assert max(gram_cosines(red.basis.matrix)) <= 1e-9
+        assert mi.oracle.brute_reduced(red.basis)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("n", [2, 3])
+def test_sheared_identity_reduces_to_unit_norms(n, k):
+    """One off-diagonal entry of 10^k, in every position."""
+    for i, j in itertools.permutations(range(n), 2):
+        m = np.eye(n)
+        m[i, j] = 10.0 ** k
+        red = mi.reduce(mi.validate_basis(m))
+        assert np.array_equal(red.norms, np.ones(n))
+        assert np.array_equal(red.basis.matrix, m @ red.transform)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3),
+       level=st.floats(0.0, 1.0), sheared=st.booleans())
+def test_reduce_over_the_conditioning_range(seed, n, level, sheared):
+    """Random bases up to cond 1e8 in 2D and 1e6 in 3D, and the tie-rich
+    hexagonal and FCC lattices through sheared bases up to 1e7 and 1e6: the
+    answer spans the same lattice, attains the successive minima of its own
+    lattice within 1e-9, and is all-obtuse whenever some shortest basis
+    admits that.  The only other outcome is a LatticeError.
+
+    The columns B @ U carry rounding of order eps |B| |U|.  The oracle sees
+    them sorted by computed norm, since that rounding can swap tied norms;
+    past cond 1e7 on a tie lattice it also exceeds the 1e-9 bar."""
+    rng = np.random.default_rng(seed)
+    cond = 10.0 ** (level * (6 if n == 3 else 7 if sheared else 8))
+    try:
+        b = (skewed_basis(rng, HEX_2D if n == 2 else FCC, cond) if sheared
+             else random_cond_basis(rng, n, cond))
+        red = mi.reduce(b)
+    except mi.LatticeError:
+        return
+    assert abs(int_det(red.transform)) == 1
+    assert np.array_equal(red.basis.matrix, b.matrix @ red.transform)
+    layers = mi.oracle.certified_layers(red.basis, float(red.norms.max()))
+    assert np.allclose(np.sort(red.norms), enumerated_minima(red.basis.matrix, layers),
+                       rtol=1e-9, atol=0.0)
+    m = red.basis.matrix
+    assert mi.oracle.brute_reduced(mi.validate_basis(m[:, np.argsort(red.norms)]))
