@@ -2,9 +2,12 @@
 
 Candidates are parallelepipeds spanned by n Voronoi-relevant vectors whose
 coefficient matrix is unimodular and whose reach extents stay within one
-extra layer per axis.  Column sign flips and column permutations produce
-lattice translates of the same parallelepiped, so candidates are stored by
-a canonical key (sign-normalized columns, sorted).
+extra layer per axis.  One predicate tests a stack of coefficient matrices
+in one array pass: every n-subset for ``enumerate_ps``, and for
+``check_cell`` the one key, so membership needs no enumeration.  Column
+sign flips and permutations produce lattice translates of the same
+parallelepiped, so candidates are stored by a canonical key
+(sign-normalized columns, sorted).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, canonical_sign, int_det, unimodular_inverse, validate_basis
+from .core import Basis, canonical_rows, int_dets, unimodular_inverse, validate_basis
 from . import copies, reduction, voronoi
 
 
@@ -53,9 +56,7 @@ def canonical_cell_key(coeff_columns) -> tuple[tuple[int, ...], ...]:
     Each column is sign-normalized (first nonzero entry positive) and the
     columns are sorted; translation-equivalent cells share a key.
     """
-    m = np.asarray(coeff_columns)
-    cols = [canonical_sign(m[:, i]) for i in range(m.shape[1])]
-    return tuple(sorted(cols))
+    return tuple(sorted(map(tuple, canonical_rows(np.asarray(coeff_columns).T).tolist())))
 
 
 def enumerate_ps(lattice: Basis) -> list[CellBasisCandidate]:
@@ -70,39 +71,39 @@ def enumerate_ps(lattice: Basis) -> list[CellBasisCandidate]:
 
 
 def _domains(p: voronoi._Prepared) -> list[CellBasisCandidate]:
-    red = p.red
-    out = []
-    seen = set()
-    for combo in itertools.combinations(p.relevant, red.basis.dim):
-        key = canonical_cell_key(np.array(combo).T)
-        if key in seen:
-            continue
-        z = np.array(key, dtype=np.int64).T
-        if abs(int_det(z)) != 1:
-            continue
-        cand = validate_basis(red.basis.matrix @ z)
-        if not copies.sufficient_from_extents(voronoi.frac_extents(p, cand)):
-            continue
-        seen.add(key)
-        out.append(CellBasisCandidate(coeffs=z, basis=cand, canonical_key=key))
-    out.sort(key=lambda c: c.canonical_key)
-    return out
+    # Distinct canonical rows in lexicographic order: distinct, sorted keys.
+    rel = np.array(sorted(p.relevant))
+    subsets = rel[list(itertools.combinations(range(len(rel)), p.red.basis.dim))]
+    zs = subsets.transpose(0, 2, 1)
+    return [CellBasisCandidate(coeffs=zs[k], basis=validate_basis(p.red.basis.matrix @ zs[k]),
+                               canonical_key=tuple(map(tuple, subsets[k].tolist())))
+            for k in np.flatnonzero(_sufficient(p, zs))]
+
+
+def _sufficient(p: voronoi._Prepared, zs: np.ndarray) -> np.ndarray:
+    """Which coefficient matrices z of a stack are unimodular and give a
+    cell rm @ z whose Voronoi extents are within one layer per axis."""
+    ok = np.abs(int_dets(zs)) == 1
+    inv = np.linalg.inv(p.red.basis.matrix @ zs[ok])
+    ok[ok] = copies.sufficient_from_extents(np.abs(p.vertices @ inv.transpose(0, 2, 1)).max(axis=1))
+    return ok
 
 
 def check_cell(cell: Basis, lattice: Basis) -> CellCheckReport:
     """Report whether a primitive cell supports the 3^n-copy shortcut.
 
-    Raises NotAPrimitiveCell if the cell does not span the full lattice.
+    It is in ``enumerate_ps`` iff the columns of its key are relevant
+    vectors that ``_sufficient`` accepts.  Raises NotAPrimitiveCell if the
+    cell does not span the full lattice.
     """
     w = copies.primitive_coeffs(cell, lattice)
     p = voronoi._prepare(lattice)
     counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
     key = canonical_cell_key(unimodular_inverse(p.red.transform) @ w)
-    members = {c.canonical_key for c in _domains(p)}
     return CellCheckReport(
-        sufficient=copies.sufficient_from_extents(counts.h),
+        sufficient=bool(copies.sufficient_from_extents(counts.h)),
         counts=counts,
-        ps_member=key in members,
+        ps_member=set(key) <= set(p.relevant) and bool(_sufficient(p, np.array(key).T[None])[0]),
         cell_reduced=reduction.is_reduced(cell),
         coeffs_key=key,
     )

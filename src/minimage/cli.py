@@ -14,6 +14,7 @@ Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -148,6 +149,17 @@ def _check_distances(b: Basis, points, triples) -> str | None:
     return None
 
 
+def _check_beyond(b: Basis, points, cutoff: float, pairs) -> str | None:
+    """Each pair (i, j) of ``points`` has no image within the cutoff: brute
+    force over the certified box of the cutoff ball finds none."""
+    for i, j in pairs:
+        p1, p2 = points[i], points[j]
+        ref = oracle.brute_distance(b, p1, p2, oracle.certified_layers(b, cutoff, p2 - p1))
+        if ref.distance < cutoff * (1.0 - 1e-12):
+            return f"pair ({i}, {j}) has no hit but lies at {ref.distance!r}"
+    return None
+
+
 def _check_block(cell: Basis, layers, what: str) -> str | None:
     bad = oracle.block_counterexample(cell, layers)
     return None if bad is None else f"{what} misses a shorter image for pair {bad}"
@@ -249,7 +261,10 @@ def _matrix(a):
 
 def _neighbors(a):
     ps, b = a.points, a.lattice
-    hits = neighbors_within(ps, a.cutoff)
+    try:
+        hits = neighbors_within(ps, a.cutoff)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if a.format == "csv":
         coords = ",".join(f"t{k+1}" for k in range(b.dim))
         out = "\n".join([f"i,j,{coords},distance"] + [
@@ -276,7 +291,9 @@ def _neighbors(a):
                 nearest.setdefault((i, j), d)
         # Hits of a pair come nearest first, and the nearest must be the
         # pair's minimum-image distance.
-        return _check_distances(b, ps.points, [(i, j, d) for (i, j), d in nearest.items()])
+        return (_check_distances(b, ps.points, [(i, j, d) for (i, j), d in nearest.items()])
+                or _check_beyond(b, ps.points, a.cutoff, [
+                    ij for ij in itertools.combinations(range(len(ps)), 2) if ij not in nearest]))
     return out, verify
 
 

@@ -111,9 +111,10 @@ def is_3n_sufficient(cell: Basis, lattice: Basis) -> bool:
     Equivalently, the Voronoi cell is covered by the block of 2 cell copies
     in each direction around the origin.
     """
-    h = domain_extents(cell, lattice)
-    return sufficient_from_extents(h)
+    return bool(sufficient_from_extents(domain_extents(cell, lattice)))
 
 
-def sufficient_from_extents(h) -> bool:
-    return bool(np.all(np.asarray(h, dtype=float) <= 1.0 + TOL_SNAP))
+def sufficient_from_extents(h) -> np.ndarray:
+    """Whether all half-extents along the last axis of ``h`` are within one
+    layer, snapped by TOL_SNAP; one flag per row of a stack."""
+    return np.all(np.asarray(h, dtype=float) <= 1.0 + TOL_SNAP, axis=-1)

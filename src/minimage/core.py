@@ -191,6 +191,32 @@ def int_det(m) -> int:
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
+def int_dets(z: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of small int64 matrices, shape (k, n, n)."""
+    if z.shape[-1] == 2:
+        return z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0]
+    return np.einsum("ki,ki->k", z[:, 0], np.cross(z[:, 1], z[:, 2]))
+
+
+def matvecs(m: np.ndarray, rows) -> np.ndarray:
+    """``m @ row`` for every row of ``rows``, with the bits of the 2-D @ 1-D
+    product: numpy computes a stack of column vectors with the same BLAS
+    matrix-vector kernel, where a matrix product would round differently."""
+    return (m @ np.asarray(rows, dtype=float)[..., None])[..., 0]
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] @ b[k]`` over the leading axes, with the bits of the 1-D dot
+    product (a stack of vector-vector products uses the same BLAS dot)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def canonical_rows(m: np.ndarray) -> np.ndarray:
+    """:func:`canonical_sign` of every row of a nonzero integer matrix."""
+    first = m[np.arange(len(m)), np.argmax(m != 0, axis=1)]
+    return m * np.sign(first)[:, None]
+
+
 def unimodular_inverse(u) -> np.ndarray:
     """Exact integer inverse of a unimodular integer matrix."""
     m = np.asarray(u)

@@ -40,6 +40,9 @@ TIE_REL = 1e-12
 # Entries per row chunk of the pairwise and neighbor kernels.  Each of
 # their temporary arrays holds at most this many floats, whatever N is.
 _CHUNK = 1 << 14
+# Most lattice images neighbors_within may search.  A cutoff that needs a
+# larger block raises ValueError before anything is allocated.
+_MAX_IMAGES = 1 << 22
 # Relative slack on the image pruning bound of neighbors_within, far above
 # the rounding in the computed shift lengths and cell diameter.
 _PRUNE_SLACK = 1e-9
@@ -113,10 +116,13 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     Arbitrary fractional inputs are accepted and wrapped internally.  The
     reported image t satisfies distance = |B (p2 + t - p1)| and is minimal
     over the searched block; exact ties return the lexicographically
-    smallest coefficient vector.
+    smallest coefficient vector.  Each point needs n coordinates.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
+    if p1.shape != (b.dim,) or p2.shape != (b.dim,):
+        raise ValueError(f"points must have {b.dim} coordinates, got shapes "
+                         f"{p1.shape} and {p2.shape}")
     if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
         raise ValueError("points must be finite")
     red, t = _reduced_search_block(b)
@@ -196,7 +202,8 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     the zero image of a point with itself is not a neighbor.  The search
     block is sized so no image within the cutoff can be missed:
     layers_k = ceil((cutoff + diam V) / width_k) with width_k the slab
-    width of the reduced cell along dual axis k.  Hits are sorted by
+    width of the reduced cell along dual axis k; a cutoff whose block holds
+    more than 2**22 images raises ValueError.  Hits are sorted by
     (i, j, distance, image coefficients).
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
@@ -211,6 +218,9 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     diam = 2.0 * float(np.linalg.norm(p.vertices, axis=1).max())
     widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)
     layers = [math.ceil((cutoff + diam) / wd) for wd in widths]
+    if math.prod(2 * m + 1 for m in layers) > _MAX_IMAGES:
+        raise ValueError(f"cutoff {cutoff!r} needs a block of {layers} layers, over "
+                         f"the limit of {_MAX_IMAGES:,} lattice images")
     t = int_box(layers)
     shifts = t @ rm.T
     # A difference of two points of the reduced cell is no longer than its

@@ -12,9 +12,9 @@ superbase (v1, v2, v3, -v1-v2-v3) of the 3D Selling iteration: while any
 of its six pairwise inner products is positive, the worst pair is flipped,
 which strictly decreases the norm-square sum.  The vectors attaining the
 successive minima then have coefficients in {-1, 0, 1} with respect to the
-superbase, so one pass over the unimodular triples of those candidates
-finds every shortest triple, ties within NORM_TIE included, and
-_ranked_config picks among them deterministically.
+superbase, so one array pass over the unimodular triples of those
+candidates finds every shortest triple, ties within NORM_TIE included, and
+one more over all tied triples, orderings and signings picks among them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, int_box, validate_basis
+from .core import Basis, int_box, matvecs, row_dots, validate_basis
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
@@ -66,10 +66,9 @@ def reduce(b: Basis) -> ReducedBasis:
     returned, and is_reduced reports it as not fully reduced.
     """
     cols = _gauss_columns(b.matrix)
-    triples = [cols] if b.dim == 2 else _selling_shortest_triples(b.matrix, cols)
-    _, best_cols = min((_ranked_config(b.matrix, tri) for tri in triples),
-                       key=lambda cfg: cfg[0])
-    u = np.column_stack(best_cols).astype(np.int64)
+    vecs, sets = ((np.array(cols), np.array([[0, 1]])) if b.dim == 2
+                  else _selling_shortest_triples(b.matrix, cols))
+    u = _ranked_config(b.matrix, vecs, sets)
     return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u)
 
 
@@ -134,10 +133,11 @@ def _gauss_columns(m: np.ndarray) -> list[np.ndarray]:
     )
 
 
-def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Selling-reduce the superbase of ``start``; return every unimodular
-    candidate triple whose sorted norm profile ties the lexicographic
-    minimum within NORM_TIE, as coefficient columns in the input basis."""
+def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
+    """Selling-reduce the superbase of ``start``; return the candidates as
+    coefficient rows in the input basis, and the index rows of every
+    unimodular triple whose sorted norm profile ties the lexicographic
+    minimum within NORM_TIE."""
     s = np.column_stack(start + [-sum(start)])
     for _ in range(MAX_ITERATIONS):
         c = m @ s
@@ -162,7 +162,7 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]) -> list[li
     keep = np.ones(len(_TRIPLES), dtype=bool)
     for k in range(3):
         keep &= profiles[:, k] <= profiles[keep, k].min() * (1.0 + NORM_TIE)
-    return [list(w[tri]) for tri in _TRIPLES[keep]]
+    return w, _TRIPLES[keep]
 
 
 # The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and
@@ -173,32 +173,34 @@ _TRIPLES = np.array(list(itertools.combinations(range(13), 3)))
 _TRIPLES = _TRIPLES[np.abs(np.linalg.det(_CANDIDATES[_TRIPLES])).round() == 1]
 
 
-def _ranked_config(matrix: np.ndarray, cols: list[np.ndarray]):
-    """Deterministic ordering and signing of a reduced vector set.
+# Per dimension: orderings and signings in tie-break order, and pairs a < b.
+_CONFIGS = {n: (np.array(list(itertools.permutations(range(n)))),
+                np.array(list(itertools.product((1, -1), repeat=n))),
+                np.array(list(itertools.combinations(range(n), 2))).T) for n in (2, 3)}
 
-    Among all norm-ascending orderings and all sign patterns, pick the one
-    with the fewest acute pairs (cosines above COS_SNAP), then the smallest
-    worst acute cosine, then the largest flattened Cartesian tuple (encoded
-    negated so the whole rank can be minimized).  Returns (rank, columns);
-    a rank starting with 0 is an all-obtuse signing.
+
+def _ranked_config(matrix: np.ndarray, vecs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The columns of the best ordering and signing of the best tied set.
+
+    ``sets`` holds index rows into the coefficient rows ``vecs``.  Over all
+    sets, norm-ascending orderings and sign patterns the rank is: fewest
+    acute pairs (cosines above COS_SNAP), smallest worst acute cosine,
+    largest flattened Cartesian tuple (negated, so the rank is minimized);
+    exact ties go to the first (set, ordering, signing).  Products keep
+    the bits of per-vector 1-D products, and roots those of ``x ** 0.5``.
     """
-    k = len(cols)
-    carts = [matrix @ z for z in cols]
-    n2 = [float(c @ c) for c in carts]
-    gram = [[float(carts[a] @ carts[b]) for b in range(k)] for a in range(k)]
-    best_rank = None
-    best_cols = None
-    for perm in itertools.permutations(range(k)):
-        if any(n2[perm[a]] > n2[perm[a + 1]] for a in range(k - 1)):
-            continue
-        for signs in itertools.product((1, -1), repeat=k):
-            cosines = [signs[a] * signs[b] * gram[perm[a]][perm[b]]
-                       / (n2[perm[a]] * n2[perm[b]]) ** 0.5
-                       for a, b in itertools.combinations(range(k), 2)]
-            acute = [c for c in cosines if c > COS_SNAP]
-            key = tuple(-float(signs[a] * x) for a in range(k) for x in carts[perm[a]])
-            rank = (len(acute), max(acute, default=0.0), key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_cols = [signs[a] * cols[perm[a]] for a in range(k)]
-    return best_rank, best_cols
+    n = len(matrix)
+    perms, signs, (a, b) = _CONFIGS[n]
+    carts = matvecs(matrix, vecs)
+    n2 = row_dots(carts, carts)
+    idx = sets[:, perms].reshape(-1, n)
+    idx = idx[np.all(n2[idx[:, :-1]] <= n2[idx[:, 1:]], axis=1)]
+    ia, ib = idx[:, a], idx[:, b]
+    root = np.reshape([x ** 0.5 for x in (n2[ia] * n2[ib]).ravel().tolist()], ia.shape)
+    cos = (row_dots(carts[ia], carts[ib]) / root)[:, None] * (signs[:, a] * signs[:, b])
+    acute = cos > COS_SNAP
+    key = -(signs[:, :, None] * carts[idx][:, None]).reshape(-1, n * n)
+    best = np.lexsort((*key.T[::-1], np.where(acute, cos, 0.0).max(axis=-1).ravel(),
+                       acute.sum(axis=-1).ravel()))[0]
+    return np.ascontiguousarray((signs[best % len(signs)][:, None]
+                                 * vecs[idx[best // len(signs)]]).T)

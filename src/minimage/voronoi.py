@@ -9,11 +9,11 @@ planes, which is cheap at the sizes that can occur here (at most 3 facet
 pairs in 2D and 7 in 3D).
 
 Every public operation that needs this geometry builds it once per call
-with ``_prepare``: one reduction, the relevant vectors searched in the
-reduced basis (which is never reduced again), and the vertices of the cell
-bounded by their bisector planes.  All operations therefore read extents
-from the same vertex set.  The facet-area volume is not part of that
-shared build; only ``voronoi_cell`` computes it.
+with ``_prepare``: one reduction, one array pass over the L/2L class table
+of the reduced basis (never reduced again) for the relevant vectors, and
+the vertices of the cell bounded by their bisector planes, so all
+operations read extents from the same vertex set.  Only ``voronoi_cell``
+measures the facets, in one pass over (facet, tight vertex) arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Basis, LatticeVector, canonical_sign, int_box
+from .core import Basis, LatticeVector, canonical_rows, int_box, matvecs, row_dots
 from .errors import DegenerateCell
 from . import reduction
 
@@ -119,30 +119,32 @@ def _prepare(b: Basis) -> _Prepared:
 
 
 def _by_norm(m: np.ndarray, coeffs) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Coefficient tuples sorted by (|m t|, t), and their Cartesian rows."""
-    found = sorted(coeffs, key=lambda t: (float(np.linalg.norm(m @ np.asarray(t, float))), t))
-    return found, np.array([m @ np.asarray(t, float) for t in found])
+    """Coefficient rows sorted by (|m t|, t), as tuples, and their Cartesian
+    rows; the norms carry the bits of the 1-D ``np.linalg.norm(m @ t)``."""
+    t = np.asarray(coeffs, dtype=np.int64)
+    carts = matvecs(m, t)
+    order = np.lexsort((*t.T[::-1], np.sqrt(row_dots(carts, carts))))
+    return [tuple(r) for r in t[order].tolist()], carts[order]
 
 
-def _coset_minima(rm: np.ndarray) -> list[tuple[int, ...]]:
-    """Relevant vectors of a reduced basis matrix, one canonical sign each.
+# Per dimension, the table of L/2L: for each nonzero parity vector c, the
+# coefficient rows 2 z + c over z in [-COSET_BOX, COSET_BOX]^n.
+_CLASSES = {n: 2 * int_box((COSET_BOX,) * n)[None]
+            + np.indices((2,) * n).reshape(n, -1).T[1:, None] for n in (2, 3)}
 
-    For each nonzero class c of L/2L, |B(2z + c)| is minimized over z in
-    [-2, 2]^n; a class whose minimum is attained by more than one +-pair
-    (within TIE_REL) is tied and contributes nothing.
+
+def _coset_minima(rm: np.ndarray) -> np.ndarray:
+    """Relevant vectors of a reduced basis matrix as coefficient rows, one
+    canonical sign each.  One pass minimizes |B(2z + c)| over the class
+    table for every nonzero class c; a class whose minimum is attained by
+    more than one +-pair (within TIE_REL) is tied and contributes nothing.
     """
-    n = len(rm)
-    zgrid = int_box((COSET_BOX,) * n)
-    found = []
-    for cls in itertools.product((0, 1), repeat=n):
-        if not any(cls):
-            continue
-        ys = 2 * zgrid + np.array(cls, dtype=np.int64)
-        norms = np.linalg.norm(ys @ rm.T, axis=1)
-        reps = {canonical_sign(row) for row in ys[norms <= norms.min() * (1.0 + TIE_REL)]}
-        if len(reps) == 1:
-            found.append(reps.pop())
-    return found
+    ys = _CLASSES[len(rm)]
+    norms = np.linalg.norm(ys @ rm.T, axis=-1)
+    best = ys[np.arange(len(ys)), norms.argmin(axis=1)]
+    tied = norms <= norms.min(axis=1, keepdims=True) * (1.0 + TIE_REL)
+    same = np.all(ys == best[:, None], axis=-1) | np.all(ys == -best[:, None], axis=-1)
+    return canonical_rows(best[np.all(same | ~tied, axis=1)])
 
 
 def _vertices(carts: np.ndarray, tol_len: float):
@@ -174,8 +176,7 @@ def _vertices(carts: np.ndarray, tol_len: float):
 
 def _in_basis(b: Basis, red: reduction.ReducedBasis, rel) -> RelevantVectorSet:
     """Relevant vectors given in reduced coordinates, restated in ``b``."""
-    u = red.transform
-    found, carts = _by_norm(b.matrix, [canonical_sign(u @ np.array(y)) for y in rel])
+    found, carts = _by_norm(b.matrix, canonical_rows(np.array(rel) @ red.transform.T))
     return RelevantVectorSet(vectors=tuple(LatticeVector(t) for t in found),
                              cartesians=carts)
 
@@ -195,13 +196,13 @@ def voronoi_cell(b: Basis) -> VoronoiCell:
 
     The halfspaces are those of ``relevant_vectors(b)``, the vertices the
     shared build, and the volume the sum over facets of the pyramid volumes
-    to the origin.
+    to the origin, an independent check against |det B|.
     """
     p = _prepare(b)
     rel = _in_basis(b, p.red, p.relevant)
     normals = np.vstack([rel.cartesians, -rel.cartesians])
-    volume = sum(_facet_measure(p.vertices[p.tight[:, f]], r) * (0.5 * np.linalg.norm(r))
-                 / b.dim for f, r in enumerate(p.normals))
+    areas = _facet_measures(p.vertices, p.tight, p.normals)
+    volume = np.sum(areas * (0.5 * np.linalg.norm(p.normals, axis=1))) / b.dim
     return VoronoiCell(normals=normals, offsets=0.5 * np.linalg.norm(normals, axis=1) ** 2,
                        vertices=p.vertices, volume=float(volume))
 
@@ -229,26 +230,22 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     return pts[~dropped]
 
 
-def _facet_measure(tight: np.ndarray, r: np.ndarray) -> float:
-    """Length (2D) or area (3D) of a facet given its tight vertices.
+def _facet_measures(verts: np.ndarray, tight: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Length (2D) or area (3D) of every facet, from its tight vertices.
 
-    In 3D the vertices are ordered by angle in an orthonormal (u, v) frame
-    of the facet plane and the area is the shoelace sum in that frame.
+    In 3D one pass orders each facet's tight vertices by angle about their
+    mean, from the first of them, and sums the shoelace cross products
+    along the normal; padding repeats the first vertex, adding no area.
     """
-    rh = r / np.linalg.norm(r)
-    if tight.shape[1] == 2:
-        proj = tight @ np.array([-rh[1], rh[0]])
-        return float(proj.max() - proj.min())
-    axis = int(np.argmin(np.abs(rh)))
-    u = np.zeros(3)
-    u[axis] = 1.0
-    u = u - (u @ rh) * rh
-    u /= np.linalg.norm(u)
-    v = np.cross(rh, u)
-    q = tight - tight.mean(axis=0)
-    x = q @ u
-    y = q @ v
-    order = np.argsort(np.arctan2(y, x), kind="stable")
-    x = x[order]
-    y = y[order]
-    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+    rh = normals / np.linalg.norm(normals, axis=1)[:, None]
+    if verts.shape[1] == 2:
+        proj = verts @ np.column_stack([-rh[:, 1], rh[:, 0]]).T
+        return np.where(tight, proj, -np.inf).max(axis=0) - np.where(tight, proj, np.inf).min(axis=0)
+    k = tight.sum(axis=0)
+    q = verts[None] - ((tight.T @ verts) / k[:, None])[:, None]
+    u = q[np.arange(len(q)), tight.argmax(axis=0), None]
+    angle = np.arctan2(np.cross(u, q) @ rh[:, :, None], q @ u.transpose(0, 2, 1))[..., 0]
+    order = np.argsort(np.where(tight.T, angle, np.inf), axis=1, kind="stable")
+    q = np.take_along_axis(q, order[..., None], axis=1)
+    q = np.where((np.arange(len(verts)) >= k[:, None])[..., None], q[:, :1], q)
+    return 0.5 * np.abs((np.cross(q, np.roll(q, -1, axis=1)) @ rh[:, :, None])[..., 0].sum(axis=1))

@@ -362,6 +362,10 @@ def _perturbations():
             ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
             minimage.cli, "neighbors_within",
             lambda f: lambda ps, c: _drop_nearest_hit(f(ps, c))),
+        "neighbors-pair-dropped": (
+            ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
+            minimage.cli, "neighbors_within",
+            lambda f: lambda ps, c: [h for h in f(ps, c) if h[:2] != (0, 1)]),
         "relevant": (["relevant", "--lattice", TILTED], minimage.voronoi, "relevant_vectors",
                      lambda f: lambda b: RelevantVectorSet(vectors=f(b).vectors[:-1],
                                                            cartesians=f(b).cartesians[:-1])),
@@ -430,6 +434,27 @@ def test_points_file_with_wrong_label_count_is_usage_error(capsys, tmp_path):
     pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": ["a"]}))
     assert run(["matrix", "--lattice", "identity2", "--points", str(pts)]) == 2
     assert "labels" in capsys.readouterr().err
+
+
+def test_envelope_edge_is_a_domain_error(capsys):
+    from test_core import unit_covolume_basis
+
+    lattice = " ".join(repr(float(x)) for x in unit_covolume_basis(0, 3, 1e8).T.ravel())
+    assert run(["reduce", "--lattice", lattice]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: columns are numerically dependent" in captured.err
+
+
+def test_neighbors_cutoff_over_the_image_limit_is_usage_error(capsys, tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0 0\n0.5 0.5 0.5\n")
+    # This cutoff needs about 8e12 images, 175 TiB of integer coordinates.
+    argv = ["neighbors", "--lattice", "identity3", "--points", str(pts), "--cutoff", "1e4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "lattice images" in captured.err
 
 
 @pytest.mark.parametrize("p1", ["1e19 1e19", "1e300 0"])

@@ -40,6 +40,29 @@ def test_unsupported_dimensions(shape):
         mi.validate_basis(np.ones(shape))
 
 
+def unit_covolume_basis(seed: int, n: int, cond: float) -> np.ndarray:
+    """The ``perfbench/inputs.cond_matrix`` recipe: 2-norm condition number
+    ``cond`` and |det| = 1, not validated."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ q2
+    return m / abs(np.linalg.det(m)) ** (1.0 / n)
+
+
+def test_envelope_edge_at_cond_1e8():
+    """A unit-covolume 3D basis at cond 1e8 has |det| below TOL_SINGULAR
+    times its column-norm product and is rejected; 2D at the same
+    conditioning is not."""
+    m = unit_covolume_basis(0, 3, 1e8)
+    assert np.linalg.cond(m) == pytest.approx(1e8, rel=1e-6)
+    assert abs(np.linalg.det(m)) == pytest.approx(1.0, rel=1e-6)
+    assert abs(np.linalg.det(m)) < mi.core.TOL_SINGULAR * np.prod(np.linalg.norm(m, axis=0))
+    with pytest.raises(mi.SingularBasis, match="numerically dependent"):
+        mi.validate_basis(m)
+    assert mi.validate_basis(unit_covolume_basis(0, 2, 1e8)).det == pytest.approx(1.0)
+
+
 def test_non_finite_rejected():
     with pytest.raises(mi.SingularBasis):
         mi.validate_basis(np.array([[1.0, np.nan], [0.0, 1.0]]))

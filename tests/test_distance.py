@@ -351,6 +351,36 @@ def test_neighbors_rejects_non_finite_cutoff(identity2, cutoff):
         mi.neighbors_within(ps, cutoff)
 
 
+@pytest.mark.parametrize("p1, p2", [
+    ([0.1, 0.2], [0.3, 0.4, 0.5]),
+    ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]]),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0]),
+])
+def test_min_image_distance_rejects_points_of_the_wrong_length(identity3, p1, p2):
+    with pytest.raises(ValueError, match="3 coordinates"):
+        mi.min_image_distance(identity3, p1, p2)
+
+
+def test_neighbors_cutoff_beyond_the_image_limit_allocates_nothing(identity3, monkeypatch):
+    def no_box(layers):
+        raise AssertionError(f"allocated a block of {layers} layers")
+
+    monkeypatch.setattr(distance, "int_box", no_box)
+    ps = mi.PeriodicPointSet(identity3, [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="lattice images"):
+        mi.neighbors_within(ps, 1e4)
+
+
+def test_neighbors_image_limit_boundary(identity2, monkeypatch):
+    monkeypatch.setattr(distance, "_MAX_IMAGES", 25)
+    ps = mi.PeriodicPointSet(identity2, [[0.0, 0.0]])
+    # layers ceil(0.5 + sqrt 2) = 2: a 5 x 5 block, at the limit
+    assert len(mi.neighbors_within(ps, 0.5)) == 0
+    # layers ceil(0.6 + sqrt 2) = 3: 7 x 7 = 49 images
+    with pytest.raises(ValueError, match="lattice images"):
+        mi.neighbors_within(ps, 0.6)
+
+
 # --- coordinates too large to floor exactly -----------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Each lattice fact is computed once per public call.
+"""Each lattice fact is computed once per public call, in one array pass.
 
 Every public operation reduces the basis once and builds the Voronoi
 vertices at most once, through ``voronoi._prepare``.  The stage counts are
@@ -7,21 +7,31 @@ checked with counting wrappers around ``reduction.reduce`` and
 it was before the stages were shared, when ``min_image_distance`` reduced
 every basis twice and ``check_cell`` five times; integer results and
 distance bits must still match it exactly.
+
+The per-lattice stages that were Python loops (domain enumeration, the
+ranked signing, the coset minima, the norm ordering and the facet measures)
+are array passes; test-only copies of the loops are kept below as the
+reference they must reproduce.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minimage as mi
 from minimage import cells, copies, distance, reduction, render, voronoi
+from minimage.core import canonical_sign, int_det
 
-from conftest import random_cond_basis
+from conftest import (FCC, HEX_2D, NO_OBTUSE_SHORTEST_3D, REDUCED_BUT_H_ABOVE_1,
+                      random_cond_basis, random_unimodular, skewed_basis)
 
 FROZEN = Path(__file__).with_name("frozen_outputs.json")
 CONDS = (1.0, 1e2, 1e3)
@@ -178,3 +188,214 @@ def test_outputs_match_frozen_fixture(b, pairs, expected):
     for key in ("h", "volume"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-10)
     assert got == want
+
+
+# --- the array passes against the loops they replaced --------------------------
+# Integer results and the bits of every float that the loops returned must
+# match; only the facet measures, summed in another order, may differ in
+# the last digits.
+
+
+def loop_key(z) -> tuple:
+    return tuple(sorted(canonical_sign(z[:, i]) for i in range(z.shape[1])))
+
+
+def loop_domains(p) -> list:
+    """(key, coefficient matrix, basis matrix) of every domain, as the
+    enumeration loop over relevant-vector subsets found them."""
+    out, seen = [], set()
+    for combo in itertools.combinations(p.relevant, p.red.basis.dim):
+        key = loop_key(np.array(combo).T)
+        if key in seen:
+            continue
+        z = np.array(key, dtype=np.int64).T
+        if abs(int_det(z)) != 1:
+            continue
+        cand = mi.validate_basis(p.red.basis.matrix @ z)
+        if not np.all(voronoi.frac_extents(p, cand) <= 1.0 + copies.TOL_SNAP):
+            continue
+        seen.add(key)
+        out.append((key, z, cand.matrix))
+    return sorted(out, key=lambda c: c[0])
+
+
+def loop_ranked_config(matrix, cols):
+    k = len(cols)
+    carts = [matrix @ z for z in cols]
+    n2 = [float(c @ c) for c in carts]
+    gram = [[float(carts[a] @ carts[b]) for b in range(k)] for a in range(k)]
+    best_rank = best_cols = None
+    for perm in itertools.permutations(range(k)):
+        if any(n2[perm[a]] > n2[perm[a + 1]] for a in range(k - 1)):
+            continue
+        for signs in itertools.product((1, -1), repeat=k):
+            cosines = [signs[a] * signs[b] * gram[perm[a]][perm[b]]
+                       / (n2[perm[a]] * n2[perm[b]]) ** 0.5
+                       for a, b in itertools.combinations(range(k), 2)]
+            acute = [c for c in cosines if c > reduction.COS_SNAP]
+            key = tuple(-float(signs[a] * x) for a in range(k) for x in carts[perm[a]])
+            rank = (len(acute), max(acute, default=0.0), key)
+            if best_rank is None or rank < best_rank:
+                best_rank = rank
+                best_cols = [signs[a] * cols[perm[a]] for a in range(k)]
+    return best_rank, best_cols
+
+
+def loop_coset_minima(rm) -> list:
+    n = len(rm)
+    zgrid = mi.core.int_box((voronoi.COSET_BOX,) * n)
+    found = []
+    for cls in itertools.product((0, 1), repeat=n):
+        if not any(cls):
+            continue
+        ys = 2 * zgrid + np.array(cls, dtype=np.int64)
+        norms = np.linalg.norm(ys @ rm.T, axis=1)
+        reps = {canonical_sign(row)
+                for row in ys[norms <= norms.min() * (1.0 + voronoi.TIE_REL)]}
+        if len(reps) == 1:
+            found.append(reps.pop())
+    return found
+
+
+def loop_by_norm(m, coeffs):
+    found = sorted(coeffs, key=lambda t: (float(np.linalg.norm(m @ np.asarray(t, float))), t))
+    return found, np.array([m @ np.asarray(t, float) for t in found])
+
+
+def loop_facet_measure(tight, r) -> float:
+    rh = r / np.linalg.norm(r)
+    if tight.shape[1] == 2:
+        proj = tight @ np.array([-rh[1], rh[0]])
+        return float(proj.max() - proj.min())
+    u = np.zeros(3)
+    u[int(np.argmin(np.abs(rh)))] = 1.0
+    u = u - (u @ rh) * rh
+    u /= np.linalg.norm(u)
+    v = np.cross(rh, u)
+    q = tight - tight.mean(axis=0)
+    x, y = q @ u, q @ v
+    order = np.argsort(np.arctan2(y, x), kind="stable")
+    x, y = x[order], y[order]
+    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+
+
+def equivalence_bases():
+    rng = np.random.default_rng(2025)
+    cases = [(f"{n}d-cond{cond:g}-{k}", random_cond_basis(rng, n, cond))
+             for n in (2, 3) for cond in CONDS for k in range(2)]
+    cases += [(f"skewed-fcc-{cond:g}", skewed_basis(rng, FCC, cond)) for cond in (1e2, 1e3)]
+    cases += [("hexagonal", mi.validate_basis(HEX_2D)),
+              ("skewed-hexagonal", skewed_basis(rng, HEX_2D, 1e2)),
+              ("no-obtuse-shortest", mi.validate_basis(NO_OBTUSE_SHORTEST_3D)),
+              ("reduced-but-h-above-1", mi.validate_basis(REDUCED_BUT_H_ABOVE_1))]
+    return [pytest.param(b, id=name) for name, b in cases]
+
+
+def tied_sets(b: mi.Basis):
+    cols = reduction._gauss_columns(b.matrix)
+    if b.dim == 2:
+        return np.array(cols), np.array([[0, 1]])
+    return reduction._selling_shortest_triples(b.matrix, cols)
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_ranked_config_matches_the_loop(b):
+    vecs, sets = tied_sets(b)
+    _, cols = min((loop_ranked_config(b.matrix, list(vecs[s])) for s in sets),
+                  key=lambda cfg: cfg[0])
+    got = reduction._ranked_config(b.matrix, vecs, sets)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.column_stack(cols))
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_relevant_vectors_match_the_loops(b):
+    rm = mi.reduce(b).basis.matrix
+    want = loop_coset_minima(rm)
+    got = voronoi._coset_minima(rm)
+    assert sorted(map(tuple, got.tolist())) == sorted(want)
+    # In reduced coordinates, and restated in the caller's basis, where the
+    # coefficients are large enough for a matrix product to round differently.
+    u = mi.reduce(b).transform
+    for m, coeffs in ((rm, want), (b.matrix, [canonical_sign(u @ np.array(y)) for y in want])):
+        found, carts = voronoi._by_norm(m, np.array(coeffs))
+        want_found, want_carts = loop_by_norm(m, coeffs)
+        assert found == want_found
+        assert np.array_equal(carts, want_carts)
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_domains_match_the_loop(b):
+    p = voronoi._prepare(b)
+    want = loop_domains(p)
+    got = cells._domains(p)
+    assert [c.canonical_key for c in got] == [key for key, _, _ in want]
+    for c, (_, z, matrix) in zip(got, want):
+        assert np.array_equal(c.coeffs, z)
+        assert np.array_equal(c.basis.matrix, matrix)
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_facet_measures_match_the_loop(b):
+    p = voronoi._prepare(b)
+    want = np.array([loop_facet_measure(p.vertices[p.tight[:, f]], r)
+                     for f, r in enumerate(p.normals)])
+    got = voronoi._facet_measures(p.vertices, p.tight, p.normals)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+    volume = sum(a * (0.5 * np.linalg.norm(r)) / b.dim for a, r in zip(want, p.normals))
+    assert voronoi.voronoi_cell(b).volume == pytest.approx(volume, rel=1e-12)
+
+
+def counted(monkeypatch, module, name) -> Counter:
+    calls: Counter = Counter()
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_reduce_ranks_all_tied_sets_in_one_call(monkeypatch, b):
+    calls = counted(monkeypatch, reduction, "_ranked_config")
+    mi.reduce(b)
+    assert calls == Counter(_ranked_config=1)
+
+
+def test_skewed_fcc_ties_sixteen_triples():
+    """The case the single ranking call is for: every shortest triple ties."""
+    b = skewed_basis(np.random.default_rng(3), FCC, 1e3)
+    _, sets = tied_sets(b)
+    assert len(sets) == 16
+
+
+@pytest.mark.parametrize("b", equivalence_bases())
+def test_check_cell_enumerates_no_domains(monkeypatch, b):
+    calls = counted(monkeypatch, cells, "_domains")
+    red = mi.reduce(b).basis
+    for cell in (b, red):
+        cells.check_cell(cell, b)
+    assert calls == Counter()
+    cells.enumerate_ps(b)
+    assert calls == Counter(_domains=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3),
+       skewed=st.booleans())
+def test_check_cell_membership_matches_the_enumeration(seed, n, skewed):
+    rng = np.random.default_rng(seed)
+    b = (skewed_basis(rng, FCC if n == 3 else HEX_2D, 1e2) if skewed
+         else random_cond_basis(rng, n, 10 ** rng.uniform(0.0, 3.0)))
+    p = voronoi._prepare(b)
+    members = {key for key, _, _ in loop_domains(p)}
+    for c in cells.enumerate_ps(b):
+        assert cells.check_cell(c.basis, b).ps_member
+    for k in range(8):
+        u = random_unimodular(rng, n, steps=k % 4, kmax=1)
+        cell = mi.validate_basis((p.red.basis.matrix if k % 2 else b.matrix) @ u)
+        report = cells.check_cell(cell, b)
+        assert report.ps_member == (report.coeffs_key in members)
