@@ -13,6 +13,7 @@ from .core import (
 )
 from .errors import (
     DegenerateCell,
+    DeterminantOutOfRange,
     InvalidCellParameters,
     LatticeError,
     NotAPrimitiveCell,
@@ -41,6 +42,7 @@ __all__ = [
     "CellCheckReport",
     "CopyCounts",
     "DegenerateCell",
+    "DeterminantOutOfRange",
     "DistanceResult",
     "InvalidCellParameters",
     "LatticeError",

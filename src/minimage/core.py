@@ -24,11 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCellParameters, SingularBasis, UnsupportedDimension
+from .errors import (DeterminantOutOfRange, InvalidCellParameters, SingularBasis,
+                     UnsupportedDimension)
 
 # Columns count as linearly independent when |det| exceeds this times the
 # product of the column norms.
 TOL_SINGULAR = 1e-10
+# Smallest and largest normal float64 magnitudes.
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 # Relative tolerance for numerical identities (round trips, integrality).
 TOL_NUM = 1e-9
 
@@ -66,9 +69,12 @@ class Basis:
 
     def diameter(self) -> float:
         """Largest distance between two corners of the unit cell."""
-        n = self.dim
-        corners = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * n))).reshape(n, -1)
-        return float(np.linalg.norm(self.matrix @ corners, axis=0).max())
+        return float(np.linalg.norm(self.matrix @ _CORNERS[self.dim], axis=0).max())
+
+
+# Per dimension, the 3^n coefficient vectors in {-1, 0, 1}^n as columns:
+# the differences of two corners of the unit cell.
+_CORNERS = {n: np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * n))).reshape(n, -1) for n in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,8 @@ def validate_basis(matrix) -> Basis:
         If the matrix is not square with n in {2, 3}.
     SingularBasis
         If the columns are numerically dependent or not finite.
+    DeterminantOutOfRange
+        If the columns are independent but |det| is not a normal float64.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
@@ -108,11 +116,39 @@ def validate_basis(matrix) -> Basis:
         )
     if not np.all(np.isfinite(m)):
         raise SingularBasis("basis matrix contains non-finite entries")
-    det = float(np.linalg.det(m))
-    norm_prod = float(np.prod(np.linalg.norm(m, axis=0)))
-    if det == 0.0 or abs(det) <= TOL_SINGULAR * norm_prod:
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = float(np.linalg.det(m))
+        bound = TOL_SINGULAR * float(np.prod(np.linalg.norm(m, axis=0)))
+    if _TINY <= abs(det) <= _HUGE and _TINY <= bound <= _HUGE:
+        independent = abs(det) > bound
+    else:
+        # Something left the normal range: judge the columns scaled to
+        # their largest entries instead, where nothing can.
+        independent = abs(_scaled_det(m)) > TOL_SINGULAR
+        if independent and not _TINY <= abs(det) <= _HUGE:
+            raise DeterminantOutOfRange(
+                f"|det| is about 1e{_log10_abs_det(m):.0f}, outside float64's normal range")
+    if not independent:
         raise SingularBasis(f"columns are numerically dependent (det = {det:g})")
     return Basis(matrix=m, det=det)
+
+
+def _scaled_det(m: np.ndarray) -> float:
+    """det of ``m`` over the product of its column norms, from the columns
+    divided by their largest entries; 0.0 for a zero column."""
+    peak = np.abs(m).max(axis=0)
+    if not np.all(peak > 0.0):
+        return 0.0
+    with np.errstate(under="ignore"):
+        u = m / peak
+        return float(np.linalg.det(u) / np.prod(np.linalg.norm(u, axis=0)))
+
+
+def _log10_abs_det(m: np.ndarray) -> float:
+    """log10 |det m|, from the same scaled columns."""
+    peak = np.abs(m).max(axis=0)
+    with np.errstate(under="ignore"):
+        return float(np.linalg.slogdet(m / peak)[1] / math.log(10.0) + np.log10(peak).sum())
 
 
 def cell_params_to_basis(a: float, b: float, c: float,
@@ -218,23 +254,21 @@ def canonical_rows(m: np.ndarray) -> np.ndarray:
 
 
 def unimodular_inverse(u) -> np.ndarray:
-    """Exact integer inverse of a unimodular integer matrix."""
-    m = np.asarray(u)
-    d = int_det(m)
+    """Exact integer inverse of a unimodular integer matrix: its adjugate
+    times its determinant (which is +-1), written out by cofactors."""
+    a = [[int(x) for x in row] for row in np.asarray(u).tolist()]
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        adj = [[s, -q], [-r, p]]
+    else:
+        (p, q, r), (s, t, v), (w, x, y) = a
+        adj = [[t * y - v * x, r * x - q * y, q * v - r * t],
+               [v * w - s * y, p * y - r * w, r * s - p * v],
+               [s * x - t * w, q * w - p * x, p * t - q * s]]
+    d = sum(a[0][k] * adj[k][0] for k in range(len(a)))
     if abs(d) != 1:
         raise ValueError(f"matrix is not unimodular (det = {d})")
-    a = [[int(x) for x in row] for row in m]
-    if len(a) == 2:
-        adj = np.array([[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]], dtype=np.int64)
-    else:
-        adj = np.empty((3, 3), dtype=np.int64)
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-                adj[i, j] = minor if (i + j) % 2 == 0 else -minor
-    return adj * d
+    return np.array(adj, dtype=np.int64) * d
 
 
 def int_box(layers) -> np.ndarray:

@@ -9,6 +9,11 @@ class SingularBasis(LatticeError):
     """Basis columns are not linearly independent (or not finite)."""
 
 
+class DeterminantOutOfRange(LatticeError):
+    """The basis is well conditioned, but its determinant lies outside
+    float64's normal range, so its covolume cannot be stated."""
+
+
 class UnsupportedDimension(LatticeError):
     """Only 2x2 and 3x3 bases are supported."""
 

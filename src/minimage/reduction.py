@@ -141,15 +141,17 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
     s = np.column_stack(start + [-sum(start)])
     for _ in range(MAX_ITERATIONS):
         c = m @ s
-        norms = np.linalg.norm(c, axis=0)
-        # Flip the pair with the largest inner product above the snap.
-        d = np.triu(c.T @ c, 1)
-        d[d <= COS_SNAP * np.outer(norms, norms)] = 0.0
-        if not d.any():
+        norms = np.linalg.norm(c, axis=0).tolist()
+        gram = (c.T @ c).tolist()
+        # Flip the pair with the largest inner product above the snap, the
+        # first in (i, j) order on a tie.
+        best, flip = 0.0, None
+        for (i, j), f in _FLIPS:
+            if gram[i][j] > COS_SNAP * (norms[i] * norms[j]) and gram[i][j] > best:
+                best, flip = gram[i][j], f
+        if flip is None:
             break
-        i, j = np.unravel_index(np.argmax(d), d.shape)
-        s[:, [x for x in range(4) if x not in (i, j)]] += s[:, [i]]
-        s[:, i] *= -1
+        s = s @ flip
     else:
         raise ReductionNonConvergence(
             f"Selling iteration did not converge in {MAX_ITERATIONS} steps"
@@ -171,6 +173,19 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
 _CANDIDATES = int_box((1, 1, 1))[14:]
 _TRIPLES = np.array(list(itertools.combinations(range(13), 3)))
 _TRIPLES = _TRIPLES[np.abs(np.linalg.det(_CANDIDATES[_TRIPLES])).round() == 1]
+
+
+def _selling_step(i: int, j: int) -> np.ndarray:
+    """Integer matrix of the Selling step on the superbase pair (i, j):
+    column i is added to the two columns other than i and j, then negated."""
+    f = np.eye(4, dtype=np.int64)
+    f[i] = [x not in (i, j) for x in range(4)]
+    f[i, i] = -1
+    return f
+
+
+# The six superbase pairs i < j in (i, j) order, each with its step.
+_FLIPS = [((i, j), _selling_step(i, j)) for i, j in itertools.combinations(range(4), 2)]
 
 
 # Per dimension: orderings and signings in tie-break order, and pairs a < b.

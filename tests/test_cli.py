@@ -446,6 +446,13 @@ def test_envelope_edge_is_a_domain_error(capsys):
     assert "error: columns are numerically dependent" in captured.err
 
 
+def test_determinant_out_of_range_is_a_domain_error(capsys):
+    assert run(["reduce", "--lattice", "1e150 0 0 0 1e150 0 0 0 1e150"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: |det| is about 1e450, outside float64's normal range" in captured.err
+
+
 def test_neighbors_cutoff_over_the_image_limit_is_usage_error(capsys, tmp_path):
     pts = tmp_path / "pts.txt"
     pts.write_text("0 0 0\n0.5 0.5 0.5\n")

@@ -63,6 +63,55 @@ def test_envelope_edge_at_cond_1e8():
     assert mi.validate_basis(unit_covolume_basis(0, 2, 1e8)).det == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m, exponent", [
+    (np.eye(3) * 1e-150, -450),
+    (np.eye(2) * 1e-200, -400),
+    (np.eye(3) * 1e150, 450),
+    (np.eye(3) * 1e-103, -309),
+])
+def test_determinant_outside_float64_is_its_own_error(recwarn, m, exponent):
+    """Well-conditioned columns whose determinant under- or overflows, or is
+    subnormal, are not called singular, and numpy prints no warning."""
+    with pytest.raises(mi.DeterminantOutOfRange, match=f"about 1e{exponent},"):
+        mi.validate_basis(m)
+    assert not recwarn.list
+
+
+def test_independence_survives_an_overflowing_norm(recwarn):
+    """A column norm overflows, the determinant does not: the basis is valid."""
+    b = mi.validate_basis(np.diag([1e-200, 1e-200, 1e250]))
+    assert b.det == pytest.approx(1e-150, rel=1e-12)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1e200, 1e200], [1e200, 1e200]]),
+    np.array([[1e-200, 2e-200], [1e-200, 2e-200]]),
+    np.array([[1e-200, 0.0], [0.0, 0.0]]),
+    np.array([[1e150, 0.0, 1e150], [0.0, 1e150, 0.0], [1e150, 0.0, 1e150 * (1 + 1e-12)]]),
+])
+def test_dependent_columns_outside_float64_stay_singular(recwarn, m):
+    with pytest.raises(mi.SingularBasis, match="numerically dependent"):
+        mi.validate_basis(m)
+    assert not recwarn.list
+
+
+def test_range_judged_by_the_scaled_rule():
+    """Out of the normal range the common path's rule still decides: the
+    columns are independent when the determinant of the columns scaled to
+    unit norm exceeds TOL_SINGULAR."""
+    independent = np.array([[1.0, 1.0], [0.0, 1e-9]])
+    dependent = np.array([[1.0, 1.0], [0.0, 1e-11]])
+    mi.validate_basis(independent)
+    with pytest.raises(mi.SingularBasis):
+        mi.validate_basis(dependent)
+    for scale in (2.0 ** -1000, 2.0 ** 1000):
+        with pytest.raises(mi.DeterminantOutOfRange):
+            mi.validate_basis(independent * scale)
+        with pytest.raises(mi.SingularBasis):
+            mi.validate_basis(dependent * scale)
+
+
 def test_non_finite_rejected():
     with pytest.raises(mi.SingularBasis):
         mi.validate_basis(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("copy_count_sweep.py", ["--max-shear", "2"]),
     ("domain_census.py", ["--samples", "5"]),
     ("render_gallery.py", ["--out-dir", None]),
+    ("output_digest.py", ["--shrink", "100"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -26,3 +27,7 @@ def test_script_runs(tmp_path, script, args):
     if script == "render_gallery.py":
         assert all(p.stat().st_size > 0 for p in tmp_path.glob("*.svg"))
         assert len(list(tmp_path.glob("*.svg"))) == 3
+    if script == "output_digest.py":
+        head, *digests = proc.stdout.splitlines()
+        assert head.startswith("18 bases, seed 0")
+        assert len(digests) >= 12 and all(len(line.split()[1]) == 64 for line in digests)

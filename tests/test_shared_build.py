@@ -11,7 +11,10 @@ distance bits must still match it exactly.
 The per-lattice stages that were Python loops (domain enumeration, the
 ranked signing, the coset minima, the norm ordering and the facet measures)
 are array passes; test-only copies of the loops are kept below as the
-reference they must reproduce.
+reference they must reproduce.  So are copies of the vertex build that
+solved every plane subset and of the Selling step that picked its pair
+from a masked triangle, which the screened build and the table-driven
+step must match bit for bit.
 """
 
 from __future__ import annotations
@@ -399,3 +402,171 @@ def test_check_cell_membership_matches_the_enumeration(seed, n, skewed):
         cell = mi.validate_basis((p.red.basis.matrix if k % 2 else b.matrix) @ u)
         report = cells.check_cell(cell, b)
         assert report.ps_member == (report.coeffs_key in members)
+
+
+# --- the screened vertex build and the Selling step against the parent's ------
+# The vertex build solved every nonsingular subset of facet planes, and the
+# Selling step picked its pair from a masked upper triangle.  The copies
+# below are those versions; the rewritten stages must give the same bits.
+
+BCC = 0.5 * np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+
+
+def all_subsets_vertices(carts, tol_len):
+    """The vertex build that solves every nonsingular n-subset of planes."""
+    n = carts.shape[1]
+    normals = np.vstack([carts, -carts])
+    nnorm = np.linalg.norm(normals, axis=1)
+    offsets = 0.5 * nnorm ** 2
+    combos = np.array(list(itertools.combinations(range(len(normals)), n)))
+    mats = normals[combos]
+    dets = np.linalg.det(mats)
+    scale = np.prod(nnorm[combos], axis=1)
+    ok = np.abs(dets) > 1e-10 * scale
+    verts = np.linalg.solve(mats[ok], offsets[combos[ok]][..., None])[..., 0]
+    feasible = np.all(verts @ normals.T <= offsets[None, :] + tol_len * nnorm[None, :], axis=1)
+    pts = verts[feasible]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) <= tol_len
+    dropped = np.zeros(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if not dropped[i]:
+            dropped[i + 1:] |= close[i, i + 1:]
+    verts = pts[~dropped]
+    if len(verts) < n + 1:
+        raise mi.DegenerateCell(
+            f"only {len(verts)} distinct vertices found (need at least {n + 1})")
+    tight = np.abs(verts @ normals.T - offsets) <= tol_len * nnorm
+    if np.any(tight.sum(axis=0) < n):
+        raise mi.DegenerateCell("halfspace with too few tight vertices")
+    return normals, verts, tight
+
+
+def triu_selling(m, start):
+    """The Selling iteration with its pair picked from a masked triangle."""
+    s = np.column_stack(start + [-sum(start)])
+    for _ in range(reduction.MAX_ITERATIONS):
+        c = m @ s
+        norms = np.linalg.norm(c, axis=0)
+        d = np.triu(c.T @ c, 1)
+        d[d <= reduction.COS_SNAP * np.outer(norms, norms)] = 0.0
+        if not d.any():
+            return s
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        s[:, [x for x in range(4) if x not in (i, j)]] += s[:, [i]]
+        s[:, i] *= -1
+    raise mi.ReductionNonConvergence("no convergence")
+
+
+def elongated(rng, length: float) -> mi.Basis:
+    """An obtuse lattice with one long cell edge: the long facet normals are
+    nearly parallel, so plane triples reach a condition number of about
+    length^2."""
+    return mi.cell_params_to_basis(1.0, rng.uniform(1.0, 1.2), length,
+                                   *rng.uniform(92.0, 100.0, 3))
+
+
+def vertex_bases():
+    rng = np.random.default_rng(2026)
+    cases = [(p.id, p.values[0]) for p in equivalence_bases()]
+    for name, m in (("square", np.eye(2)), ("hexagonal", HEX_2D), ("cubic", np.eye(3)),
+                    ("fcc", FCC), ("bcc", BCC)):
+        for k in range(4):
+            q, _ = np.linalg.qr(rng.normal(size=(len(m), len(m))))
+            cases.append((f"{name}-frame{k}", mi.validate_basis(
+                q @ m @ random_unimodular(rng, len(m)))))
+    for name, m in (("cubic", np.eye(3)), ("fcc", FCC)):
+        for k in range(4):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            cases.append((f"{name}-perturbed{k}", mi.validate_basis(
+                q @ (m + 1e-7 * rng.normal(size=(3, 3))) @ random_unimodular(rng, 3))))
+    for length in (1e3, 1e4):
+        cases += [(f"elongated-{length:g}-{k}", elongated(rng, length)) for k in range(3)]
+    return [pytest.param(b, id=name) for name, b in cases]
+
+
+def vertex_input(b: mi.Basis):
+    """The relevant vectors and tolerance the shared build hands _vertices."""
+    rm = mi.reduce(b).basis
+    _, carts = voronoi._by_norm(rm.matrix, voronoi._coset_minima(rm.matrix))
+    return carts, voronoi.GEOM_REL * rm.diameter()
+
+
+@pytest.mark.parametrize("b", vertex_bases())
+def test_screened_vertices_match_all_subsets(b):
+    """Same vertices and tight sets, or the same DegenerateCell (some
+    perturbed lattices get facets below the geometric tolerance)."""
+    carts, tol = vertex_input(b)
+    outcomes = []
+    for build in (all_subsets_vertices, voronoi._vertices):
+        try:
+            outcomes.append(build(carts, tol))
+        except mi.DegenerateCell as exc:
+            outcomes.append(str(exc))
+    want, got = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        for w, g in zip(want, got):
+            assert w.shape == g.shape and np.array_equal(w, g)
+
+
+def vertex_bases_3d():
+    return [p for p in vertex_bases() if p.values[0].dim == 3]
+
+
+@pytest.mark.parametrize("b", vertex_bases_3d())
+def test_selling_step_matches_the_triangle_pick(b):
+    cols = reduction._gauss_columns(b.matrix)
+    s = triu_selling(b.matrix, [c.copy() for c in cols])
+    w, sets = reduction._selling_shortest_triples(b.matrix, cols)
+    assert w.dtype == np.int64
+    assert np.array_equal(w, reduction._CANDIDATES @ s[:, :3].T)
+    assert np.array_equal(sets, tied_sets(b)[1])
+
+
+@pytest.mark.parametrize("b", vertex_bases_3d())
+def test_screen_keeps_every_vertex_on_the_boundary(b):
+    """Move the planes a nonsingular subset's solved vertex violates so that
+    they pass exactly through it: that vertex is then feasible for the
+    solve-every-subset test, so the screen must not drop it.  On elongated
+    lattices a margin without the conditioning term drops some."""
+    carts, tol = vertex_input(b)
+    normals = np.vstack([carts, -carts])
+    nnorm = np.linalg.norm(normals, axis=1)
+    offsets = 0.5 * nnorm ** 2
+    combos = voronoi._SUBSETS[3, len(normals)][0]
+    ok = np.abs(np.linalg.det(normals[combos])) > 1e-10 * np.prod(nnorm[combos], axis=1)
+    rows = np.flatnonzero(ok)
+    verts = np.linalg.solve(normals[combos[rows]], offsets[combos[rows]][..., None])[..., 0]
+    products = verts @ normals.T
+    base = offsets + tol * nnorm
+    dropped = [r for r, p in zip(rows, products)
+               if not voronoi._candidates(normals, nnorm, np.maximum(base, p))[r]]
+    assert dropped == []
+
+
+@pytest.mark.parametrize("b", vertex_bases())
+def test_basis_diameter_is_the_corner_maximum(b):
+    corners = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=b.dim))).T
+    assert b.diameter() == float(np.linalg.norm(b.matrix @ corners, axis=0).max())
+
+
+def test_singular_subsets_are_judged_as_lu_judges_them():
+    """Plane triples built with |det| within 1e-6 (relative) of 1e-10 times
+    their norm product: the closed-form determinant and LU's differ there by
+    about 1e-6, so each decision must fall as LU's does.  With every plane
+    moved to infinity nothing is infeasible, and the screen returns exactly
+    the nonsingular subsets."""
+    rng = np.random.default_rng(31)
+    combos = voronoi._SUBSETS[3, 6][0]
+    for _ in range(300):
+        a, b = rng.normal(size=(2, 3))
+        axis = np.cross(a, b)
+        c = rng.normal() * a + rng.normal() * b
+        target = 1e-10 * (1 + rng.uniform(-1e-6, 1e-6))
+        c = c + target * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c) * axis / (axis @ axis)
+        normals = np.vstack([a, b, c, -a, -b, -c])
+        nnorm = np.linalg.norm(normals, axis=1)
+        want = np.abs(np.linalg.det(normals[combos])) > 1e-10 * np.prod(nnorm[combos], axis=1)
+        assert np.array_equal(voronoi._candidates(normals, nnorm, np.full(6, np.inf)), want)
