@@ -4,7 +4,9 @@ Two checkouts that print the same digests give the same output bits on
 every basis of the corpus: reduced bases and transforms, relevant
 vectors, Voronoi cells (normals, vertices, volume), copy counts and
 extents, domains, cell checks, and distances, distance matrices and
-neighbor lists.  Domain errors count as outputs, by type.  Only the
+neighbor lists.  Neighbor lists are digested at two cutoffs, 1 and 2.5
+times |det B|^(1/n): the larger one gives pairs several hits each and
+search blocks of several layers.  Domain errors count as outputs, by type.  Only the
 public API is used, so the script runs unchanged on older checkouts.
 
 The corpus has 1,501 bases, built from ``--seed``:
@@ -44,7 +46,7 @@ REDUCED_BUT_H_ABOVE_1 = np.array([
 ])
 PAIRS_PER_BASIS = 3
 MATRIX_POINTS = 4
-CUTOFF = 1.0
+CUTOFFS = (1.0, 2.5)
 
 
 def cond_matrix(rng, n: int, cond: float) -> np.ndarray:
@@ -145,8 +147,9 @@ def records(m: np.ndarray, rng):
     yield "min_image_distance", ";".join(f"{d.distance.hex()}{d.image.coeffs}" for d in dists)
     points = mi.PeriodicPointSet(b, rng.random((MATRIX_POINTS, n)))
     yield "pairwise_distances", floats(mi.pairwise_distances(points))
-    hits = mi.neighbors_within(points, CUTOFF * abs(b.det) ** (1.0 / n))
-    yield "neighbors_within", ";".join(f"{h!r}" for h in hits)
+    for cutoff in CUTOFFS:
+        hits = mi.neighbors_within(points, cutoff * abs(b.det) ** (1.0 / n))
+        yield f"neighbors_within@{cutoff:g}", ";".join(f"{h!r}" for h in hits)
 
 
 def main() -> None:
@@ -169,7 +172,9 @@ def main() -> None:
             errors += 1
             digests.setdefault("errors", hashlib.sha256()).update(
                 f"{k}:{type(exc).__name__}\n".encode())
-    print(f"{len(bases)} bases, seed {args.seed}, {errors} raised a domain error")
+    print(f"{len(bases)} bases, seed {args.seed}, neighbor cutoffs "
+          f"{'/'.join(f'{c:g}' for c in CUTOFFS)} x |det|^(1/n), "
+          f"{errors} raised a domain error")
     for op, h in digests.items():
         print(f"{op:20s} {h.hexdigest()}")
 

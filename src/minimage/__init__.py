@@ -29,6 +29,7 @@ from .distance import (
     DistanceResult,
     PeriodicPointSet,
     min_image_distance,
+    neighbor_arrays,
     neighbors_within,
     pairwise_distances,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "is_3n_sufficient",
     "is_reduced",
     "min_image_distance",
+    "neighbor_arrays",
     "neighbors_within",
     "oracle",
     "pairwise_distances",

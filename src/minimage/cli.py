@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import Basis, cell_params_to_basis, validate_basis
-from .distance import PeriodicPointSet, min_image_distance, neighbors_within, pairwise_distances
+from .distance import PeriodicPointSet, min_image_distance, neighbor_arrays, pairwise_distances
 from .errors import LatticeError, OracleBudgetExceeded
 from . import cells, copies, oracle, reduction, render, voronoi
 
@@ -149,14 +149,27 @@ def _check_distances(b: Basis, points, triples) -> str | None:
     return None
 
 
-def _check_beyond(b: Basis, points, cutoff: float, pairs) -> str | None:
-    """Each pair (i, j) of ``points`` has no image within the cutoff: brute
-    force over the certified box of the cutoff ball finds none."""
-    for i, j in pairs:
+def _check_hit_sets(b: Basis, points, cutoff: float, hits) -> str | None:
+    """Each pair i <= j of ``points`` reports exactly the images that brute
+    force finds within the cutoff in the pair's certified box, each at its
+    brute-force distance; ``hits`` maps (i, j) to {image: distance}.  An
+    image within 1e-12 (relative) of the cutoff may go either way."""
+    zero = (0,) * b.dim
+    for i, j in itertools.combinations_with_replacement(range(len(points)), 2):
         p1, p2 = points[i], points[j]
-        ref = oracle.brute_distance(b, p1, p2, oracle.certified_layers(b, cutoff, p2 - p1))
-        if ref.distance < cutoff * (1.0 - 1e-12):
-            return f"pair ({i}, {j}) has no hit but lies at {ref.distance!r}"
+        want = oracle.brute_within(b, p1, p2, cutoff * (1.0 + 1e-12),
+                                   oracle.certified_layers(b, cutoff, p2 - p1))
+        if i == j:
+            del want[zero]
+        got = hits.get((i, j), {})
+        for t in sorted(got.keys() | want.keys()):
+            d, ref = got.get(t), want.get(t)
+            if ref is None:
+                return f"pair ({i}, {j}) reports image {t}, which brute force does not find"
+            if d is None and ref <= cutoff * (1.0 - 1e-12):
+                return f"pair ({i}, {j}) misses image {t} at {ref!r}"
+            if d is not None and abs(d - ref) > 1e-12 * max(1e-300, ref):
+                return f"pair ({i}, {j}) image {t}: distance {d!r} vs brute force {ref!r}"
     return None
 
 
@@ -262,38 +275,27 @@ def _matrix(a):
 def _neighbors(a):
     ps, b = a.points, a.lattice
     try:
-        hits = neighbors_within(ps, a.cutoff)
+        arrays = neighbor_arrays(ps, a.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    hits = list(zip(*(x.tolist() for x in arrays)))
     if a.format == "csv":
         coords = ",".join(f"t{k+1}" for k in range(b.dim))
         out = "\n".join([f"i,j,{coords},distance"] + [
-            f"{i},{j}," + ",".join(str(c) for c in img.coeffs) + f",{d:.12g}"
-            for i, j, img, d in hits])
+            f"{i},{j}," + ",".join(map(str, img)) + f",{d:.12g}" for i, j, img, d in hits])
     else:
         out = {
             "cutoff": _sig12(a.cutoff),
             "count": len(hits),
-            "neighbors": [
-                {"i": i, "j": j, "image": list(img.coeffs), "distance": _sig12(d)}
-                for i, j, img, d in hits
-            ],
+            "neighbors": [{"i": i, "j": j, "image": img, "distance": _sig12(d)}
+                          for i, j, img, d in hits],
         }
 
     def verify():
-        nearest = {}
+        found = {}
         for i, j, img, d in hits:
-            shift = np.asarray(img.coeffs, dtype=float)
-            direct = float(np.linalg.norm(b.matrix @ (ps.points[j] + shift - ps.points[i])))
-            if abs(direct - d) > 1e-12 * max(1e-300, direct):
-                return f"pair ({i}, {j}) distance is inconsistent with its image"
-            if i != j:
-                nearest.setdefault((i, j), d)
-        # Hits of a pair come nearest first, and the nearest must be the
-        # pair's minimum-image distance.
-        return (_check_distances(b, ps.points, [(i, j, d) for (i, j), d in nearest.items()])
-                or _check_beyond(b, ps.points, a.cutoff, [
-                    ij for ij in itertools.combinations(range(len(ps)), 2) if ij not in nearest]))
+            found.setdefault((i, j), {})[tuple(img)] = d
+        return _check_hit_sets(b, ps.points, a.cutoff, found)
     return out, verify
 
 

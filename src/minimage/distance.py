@@ -11,17 +11,28 @@ axis, and sizing the block from the extents keeps the result exact there
 too.  The witness image is mapped back through the unimodular transform so
 results are stated in the caller's coordinates.
 
-The many-point kernels loop over the images of the block, not over point
-pairs.  For a chunk of rows they hold per-component difference arrays
-(rows, N) and, per image, add the shift, square and sum in place; the
-matrix keeps a running minimum, the neighbor list keeps the entries within
-the cutoff.  The squares are summed in the order ``(x ** 2).sum(-1)`` uses,
-so the results are bit-identical to the direct broadcast formula.  The
-matrix computes the upper triangle and mirrors it, which is exact because
-the block is symmetric.  The neighbor list skips every image with
-|s| > cutoff + diameter of the reduced cell, since no difference of two
-points in that cell is longer than its diameter.  Rows are chunked so each
-temporary array holds at most ``_CHUNK`` entries, whatever N is.
+The matrix kernel loops over the images of the block, not over point
+pairs: for a chunk of rows it holds per-component difference arrays
+(rows, N) and, per image, adds the shift, squares and sums in place,
+keeping a running minimum.  It computes the upper triangle and mirrors
+it, which is exact because the block is symmetric.
+
+The neighbor list evaluates only the (pair, image) candidates that can
+hit.  A pair's reduced fractional difference f = fr_j - fr_i lies in
+[-1, 1]^n; its class q = floor(2 f), per axis in {-2, -1, 0, 1}, spans f
+in [q, q + 1) / 2 around the center c_q = (q + 1/2) / 2.  So f - c_q lies
+in [-1/4, 1/4]^n and |B (f - c_q)| <= diam / 4, where diam, the reduced
+cell's diameter, is the longest |B x| over x in [-1, 1]^n.  A hit
+|B (f + t)| <= cutoff then has |B (c_q + t)| <= cutoff + diam / 4 by the
+triangle inequality, so the images outside that ball (widened by
+``_PRUNE_SLACK`` for rounding) are dropped for the whole class without
+losing a hit.  Each class of a chunk of rows evaluates its candidates
+against its pairs only.
+
+Both kernels sum the squares in the order ``(x ** 2).sum(-1)`` uses, with
+the same differences and shifts, so every result is bit-identical to the
+direct broadcast formula.  Rows are chunked so each temporary array holds
+at most ``_CHUNK`` entries, whatever N is.
 """
 
 from __future__ import annotations
@@ -40,12 +51,15 @@ TIE_REL = 1e-12
 # Entries per row chunk of the pairwise and neighbor kernels.  Each of
 # their temporary arrays holds at most this many floats, whatever N is.
 _CHUNK = 1 << 14
-# Most lattice images neighbors_within may search.  A cutoff that needs a
+# Most lattice images neighbor_arrays may search.  A cutoff that needs a
 # larger block raises ValueError before anything is allocated.
 _MAX_IMAGES = 1 << 22
-# Relative slack on the image pruning bound of neighbors_within, far above
-# the rounding in the computed shift lengths and cell diameter.
+# Relative slack on the image pruning bounds of neighbor_arrays, far above
+# the rounding in the computed shift lengths, class centers and diameter.
 _PRUNE_SLACK = 1e-9
+# Classes per unit of fractional difference in neighbor_arrays: a pair's
+# difference f in [-1, 1] per axis falls in one of 2 * _SPLIT classes.
+_SPLIT = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,17 +208,20 @@ def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
     return out
 
 
-def neighbors_within(ps: PeriodicPointSet, cutoff: float
-                     ) -> list[tuple[int, int, LatticeVector, float]]:
-    """All pairs (i <= j) and lattice images within the distance cutoff.
+def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All pairs (i <= j) and lattice images within the distance cutoff, as
+    arrays ``(i, j, image, d)``: point indices, the K x n image coefficients
+    in the caller's frame, and the distances d = |B (p_j + image - p_i)|.
 
     Self pairs i == j are included for every nonzero image (both signs);
     the zero image of a point with itself is not a neighbor.  The search
     block is sized so no image within the cutoff can be missed:
     layers_k = ceil((cutoff + diam V) / width_k) with width_k the slab
     width of the reduced cell along dual axis k; a cutoff whose block holds
-    more than 2**22 images raises ValueError.  Hits are sorted by
-    (i, j, distance, image coefficients).
+    more than 2**22 images raises ValueError.  Each pair evaluates only the
+    candidate images of its class (see the module docstring).  Hits are
+    sorted by (i, j, distance, image coefficients).
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
@@ -212,8 +229,8 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     red = p.red
     rm = red.basis.matrix
     u = red.transform
-    uinv = unimodular_inverse(u)
-    w, fr = _split_cells(ps.points @ uinv.T)
+    n = red.basis.dim
+    w, fr = _split_cells(ps.points @ unimodular_inverse(u).T)
 
     diam = 2.0 * float(np.linalg.norm(p.vertices, axis=1).max())
     widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)
@@ -223,41 +240,124 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
                          f"the limit of {_MAX_IMAGES:,} lattice images")
     t = int_box(layers)
     shifts = t @ rm.T
+    zero = len(t) // 2  # the middle row of the symmetric block
+    # Caller-frame coefficients per block row.  The images of one pair
+    # differ only in their row, so row keys order a pair's images.
+    tu = t @ u.T
+    row_key = _image_keys(tu)[0]
+    # Per-component rows: numpy gathers 1-D arrays far faster than rows.
+    shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ u.T).T.copy()
+    cell = red.basis.diameter()
     # A difference of two points of the reduced cell is no longer than its
     # diameter, so an image with |s| > cutoff + diameter holds no hit.
-    reach = (cutoff + red.basis.diameter()) * (1.0 + _PRUNE_SLACK)
-    kept = np.flatnonzero(np.linalg.norm(shifts, axis=1) <= reach)
+    kept = np.flatnonzero(np.linalg.norm(shifts, axis=1) <= (cutoff + cell) * (1.0 + _PRUNE_SLACK))
+    kept_shifts = shifts[kept]
+    # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
+    # within cell / (2 _SPLIT) of the class center B c_q.
+    grid = np.indices((2 * _SPLIT,) * n).reshape(n, -1).T
+    centers = ((grid - _SPLIT + 0.5) / _SPLIT) @ rm.T
+    reach = ((cutoff + cell / (2 * _SPLIT)) * (1.0 + _PRUNE_SLACK)) ** 2
 
-    cart = fr @ rm.T
-    found_i, found_j, found_k, found_d = [], [], [], []
-    for start, stop, diff in _row_chunks(cart):
-        d = np.empty(diff.shape[1:])
-        tmp = np.empty_like(d)
-        hit = np.empty(d.shape, dtype=bool)
-        cols = np.arange(d.shape[1])
-        upper = cols >= np.arange(d.shape[0])[:, None]
-        strict = cols > np.arange(d.shape[0])[:, None]
-        for k in kept:
-            np.sqrt(_sq_norm(diff, shifts[k], d, tmp), out=d)
-            np.less_equal(d, cutoff, out=hit)
-            hit &= upper if t[k].any() else strict
-            a, b = np.nonzero(hit)
-            found_i.append(a + start)
-            found_j.append(b + start)
-            found_k.append(np.full(len(a), k))
-            found_d.append(d[a, b])
-    if not any(len(x) for x in found_d):
+    cart_c = (fr @ rm.T).T.copy()
+    npts = len(fr)
+    out = []
+    start = 0
+    while start < npts:
+        # Rows start <= i < stop against columns j >= start: at most _CHUNK
+        # (row, column) entries, of which those with j >= i are pairs.
+        stop = min(npts, start + max(1, _CHUNK // (npts - start)))
+        i, j = np.nonzero(np.arange(start, npts) >= np.arange(start, stop)[:, None])
+        i += start
+        j += start
+        # The class index of each pair, axis by axis.  fr lies in [0, 1]
+        # (x - floor(x) rounds to 1.0 for tiny negative x), so f = 1 joins
+        # the last class, which still holds it.
+        code = np.zeros(len(i), dtype=np.intp)
+        for f in fr.T:
+            q = np.clip(np.floor(_SPLIT * (f[j] - f[i])), -_SPLIT, _SPLIT - 1)
+            code = code * (2 * _SPLIT) + q.astype(np.intp) + _SPLIT
+        by_class = np.argsort(code)
+        bounds = np.searchsorted(code[by_class], np.arange(len(grid) + 1))
+        found = []
+        for c in np.flatnonzero(np.diff(bounds)):
+            e = by_class[bounds[c]:bounds[c + 1]]
+            x = kept_shifts + centers[c]
+            cand = kept[np.einsum("ij,ij->i", x, x) <= reach]
+            diff = [col[j[e]] - col[i[e]] for col in cart_c]
+            found += _class_hits(diff, e, cand, shift_c, cutoff)
+        if found:
+            e, k, d = map(np.concatenate, zip(*found))
+            keep = (k != zero) | (i[e] != j[e])
+            e, k, d = e[keep], k[keep], d[keep]
+            order = _hit_order(e, d, row_key[k])
+            e, k, d = e[order], k[order], d[order]
+            i_e, j_e = i[e], j[e]
+            img = np.column_stack([a[k] + b[i_e] - b[j_e] for a, b in zip(tu_c, wu_c)])
+            out.append((i_e, j_e, img, d))
+        start = stop
+    if not out:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, n), np.int64), np.empty(0)
+    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _class_hits(diff: list[np.ndarray], e: np.ndarray, cand: np.ndarray,
+                shift_c: np.ndarray, cutoff: float
+                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(e, k, d) per block of candidates: the entries e whose differences
+    ``diff`` (one array per component) lie within the cutoff after adding
+    shift k, at that distance, with the squares summed as the whole-block
+    formula sums them."""
+    diff = [x[None, :] for x in diff]
+    step = max(1, _CHUNK // len(e))
+    found = []
+    for k0 in range(0, len(cand), step):
+        k = cand[k0:k0 + step]
+        d = np.empty((len(k), len(e)))
+        np.sqrt(_sq_norm(diff, [x[k][:, None] for x in shift_c], d, np.empty_like(d)), out=d)
+        d = d.ravel()
+        hit = np.flatnonzero(d <= cutoff)
+        found.append((e[hit % len(e)], k[hit // len(e)], d[hit]))
+    return found
+
+
+def _image_keys(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One integer key per row of coefficients, ordered as the rows are
+    as tuples, with the offset and extents that map a key back."""
+    # Per column: numpy reduces a narrow array along axis 0 slowly.
+    lo = np.array([c.min() for c in img.T])
+    dims = np.array([c.max() for c in img.T]) - lo + 1
+    return np.ravel_multi_index((img - lo).T, dims), lo, dims
+
+
+def _hit_order(pair: np.ndarray, d: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((key, d, pair))``, from one float and one
+    integer sort: pair then distance rank as one int64 key, then every run
+    of equal (pair, d) put in key order.  pair indexes the entries of one
+    row chunk, fewer than max(_CHUNK, N), and a chunk has at most
+    _MAX_IMAGES hits per entry, so the key cannot overflow."""
+    rank = np.empty(len(d), dtype=np.int64)
+    rank[np.argsort(d)] = np.arange(len(d))
+    order = np.argsort(pair * len(d) + rank)
+    p, dd = pair[order], d[order]
+    same = (p[1:] == p[:-1]) & (dd[1:] == dd[:-1])
+    if same.any():
+        run = np.concatenate(([0], np.cumsum(~same)))
+        tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((key[sub], run[tied]))]
+    return order
+
+
+def neighbors_within(ps: PeriodicPointSet, cutoff: float
+                     ) -> list[tuple[int, int, LatticeVector, float]]:
+    """``neighbor_arrays`` as a list of (i, j, image, d) tuples, with one
+    ``LatticeVector`` per distinct image."""
+    i, j, img, d = neighbor_arrays(ps, cutoff)
+    if not len(d):
         return []
-    i = np.concatenate(found_i)
-    j = np.concatenate(found_j)
-    dist = np.concatenate(found_d)
-    img = (t[np.concatenate(found_k)] + w[i] - w[j]) @ u.T
-    # One integer key per image, ordered as the coefficient tuples are.
-    lo = img.min(axis=0)
-    key = np.ravel_multi_index((img - lo).T, img.max(axis=0) - lo + 1)
-    order = np.lexsort((key, dist, i * len(cart) + j))
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    vectors = [LatticeVector(tuple(row)) for row in img[first].tolist()]
-    return list(zip(i[order].tolist(), j[order].tolist(),
-                    [vectors[x] for x in which[order].tolist()],
-                    dist[order].tolist()))
+    key, lo, dims = _image_keys(img)
+    uniq, which = np.unique(key, return_inverse=True)
+    vectors = np.empty(len(uniq), dtype=object)
+    vectors[:] = [LatticeVector(tuple(row)) for row in
+                  (np.column_stack(np.unravel_index(uniq, dims)) + lo).tolist()]
+    return list(zip(i.tolist(), j.tolist(), vectors[which].tolist(), d.tolist()))

@@ -8,7 +8,8 @@ from the basis and the answer under test, never from copy counts: the
 translates t with |B (delta + t)| <= d satisfy |t_k| <= d ||row_k(B^-1)|| +
 |delta_k| (Fincke-Pohst; Agrell et al., "Closest point search in
 lattices", IEEE Trans. IT 48, 2002).  A distance is checked in the box of
-the reported distance, so a report that is too small fails as well; a block
+the reported distance, so a report that is too small fails as well; the
+hit set of a neighbor-list pair in the box of the cutoff ball; a block
 of copies in the box of each sampled pair's block distance; relevant
 vectors in the ball of radius R = sqrt(sum |b_i|^2), since a relevant r
 has |r| <= 2 mu <= R (mu the covering radius) and every point contesting
@@ -90,6 +91,18 @@ def brute_distance(b: Basis, p1, p2, layers) -> DistanceResult:
     best = min(t for d2, t in tied if d2 <= best_d2 * (1.0 + 2e-12))
     d = float(np.linalg.norm(b.matrix @ (delta + np.asarray(best, dtype=float))))
     return DistanceResult(distance=d, image=LatticeVector(best))
+
+
+def brute_within(b: Basis, p1, p2, radius: float, layers) -> dict[tuple[int, ...], float]:
+    """Every translate t with |t_k| <= layers[k] and |B (p2 + t - p1)| <=
+    radius, mapped to that distance."""
+    delta = np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float)
+    found = {}
+    for t in _box_rows(layers):
+        d = np.linalg.norm((delta[None, :] + t) @ b.matrix.T, axis=1)
+        near = d <= radius
+        found.update(zip(map(tuple, t[near].tolist()), d[near].tolist()))
+    return found
 
 
 def brute_relevant(b: Basis, box: int | None = None) -> RelevantVectorSet:

@@ -315,9 +315,26 @@ def test_distance_verifiers_do_not_read_copy_counts(capsys, monkeypatch, tmp_pat
         assert "verify: ok" in err
 
 
-def _drop_nearest_hit(hits):
-    first = next(k for k, (i, j, _, _) in enumerate(hits) if i != j)
-    return hits[:first] + hits[first + 1:]
+# Perturbations of the neighbor arrays (i, j, image, d).
+def _stretched(arrays):
+    return arrays[:3] + (arrays[3] * (1 + 1e-9),)
+
+
+def _drop_nearest_hit(arrays):
+    i, j = arrays[:2]
+    return tuple(x[np.arange(len(i)) != np.flatnonzero(i != j)[0]] for x in arrays)
+
+
+def _drop_far_hit(arrays):
+    """Drop the second hit of pair (0, 1), which is not its nearest."""
+    i, j = arrays[:2]
+    return tuple(x[np.arange(len(i)) != np.flatnonzero((i == 0) & (j == 1))[1]]
+                 for x in arrays)
+
+
+def _drop_pair(arrays):
+    i, j = arrays[:2]
+    return tuple(x[(i != 0) | (j != 1)] for x in arrays)
 
 
 def _perturbations():
@@ -356,16 +373,20 @@ def _perturbations():
                    "pairwise_distances", lambda f: lambda ps: scaled_matrix(f(ps))),
         "neighbors-distance": (
             ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
-            minimage.cli, "neighbors_within",
-            lambda f: lambda ps, c: [(i, j, t, d * (1 + 1e-9)) for i, j, t, d in f(ps, c)]),
+            minimage.cli, "neighbor_arrays",
+            lambda f: lambda ps, c: _stretched(f(ps, c))),
         "neighbors-missing": (
             ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
-            minimage.cli, "neighbors_within",
+            minimage.cli, "neighbor_arrays",
             lambda f: lambda ps, c: _drop_nearest_hit(f(ps, c))),
+        "neighbors-far-hit-dropped": (
+            ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
+            minimage.cli, "neighbor_arrays",
+            lambda f: lambda ps, c: _drop_far_hit(f(ps, c))),
         "neighbors-pair-dropped": (
             ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
-            minimage.cli, "neighbors_within",
-            lambda f: lambda ps, c: [h for h in f(ps, c) if h[:2] != (0, 1)]),
+            minimage.cli, "neighbor_arrays",
+            lambda f: lambda ps, c: _drop_pair(f(ps, c))),
         "relevant": (["relevant", "--lattice", TILTED], minimage.voronoi, "relevant_vectors",
                      lambda f: lambda b: RelevantVectorSet(vectors=f(b).vectors[:-1],
                                                            cartesians=f(b).cartesians[:-1])),

@@ -6,8 +6,9 @@ import pytest
 
 import minimage as mi
 
-from conftest import (HEX_2D, REDUCED_BUT_H_ABOVE_1, SKEW_2D, random_cond_basis,
-                      random_unimodular)
+from conftest import (FCC, HEX_2D, REDUCED_BUT_H_ABOVE_1, SKEW_2D, random_cond_basis,
+                      random_unimodular, skewed_basis)
+from test_shared_build import equivalence_bases
 from minimage import distance
 from minimage.core import LatticeVector, unimodular_inverse, wrap_frac
 
@@ -320,6 +321,110 @@ def test_neighbors_hit_just_inside_the_pruning_bound(identity2):
     margin = (cutoff + mi.reduce(identity2).basis.diameter()
               - np.linalg.norm(identity2.matrix @ np.array([-2.0, -2.0])))
     assert 0 < margin < 1.5e-6
+
+
+def elongated_bases():
+    rng = np.random.default_rng(49)
+    return [pytest.param(mi.validate_basis(m), id=name) for name, m in (
+        ("elongated-2d", np.diag([1.0, 5.0])),
+        ("elongated-3d", np.diag([1.0, 1.0, 6.0])),
+        ("skewed-hexagonal-1e3", skewed_basis(rng, HEX_2D, 1e3).matrix),
+        ("skewed-fcc-1e2", skewed_basis(rng, FCC, 1e2).matrix),
+        ("needle-3d", random_cond_basis(rng, 3, 1e3).matrix @ np.diag([1.0, 1.0, 8.0])),
+    )]
+
+
+@pytest.mark.parametrize("b", equivalence_bases() + elongated_bases())
+def test_neighbor_classes_match_the_whole_block(b):
+    rng = np.random.default_rng(50)
+    ps = mi.PeriodicPointSet(b, rng.random((12, b.dim)))
+    cutoff = 1.5 * abs(b.det) ** (1.0 / b.dim)
+    assert mi.neighbors_within(ps, cutoff) == reference_neighbors(ps, cutoff)
+
+
+def _boundary_points(n: int, rng) -> np.ndarray:
+    """Reduced fractional points whose differences sit on the class
+    boundaries 0, +-1/2 and +-1, and 1 ulp either side of them."""
+    values = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+              np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    grid = np.array(list(itertools.product(values, repeat=n)))
+    return grid if n == 2 else grid[rng.choice(len(grid), 40, replace=False)]
+
+
+@pytest.mark.parametrize("m", [np.eye(2), 0.7 * np.eye(2), HEX_2D, np.diag([1.0, 5.0]),
+                               np.eye(3), 0.7 * np.eye(3), FCC, np.diag([1.0, 1.0, 6.0])],
+                         ids=["square", "square-0.7", "hexagonal", "elongated-2d", "cubic",
+                              "cubic-0.7", "fcc", "elongated-3d"])
+def test_neighbor_classes_at_their_boundaries(m):
+    # A reduced basis reduces to itself, so the points below are the
+    # reduced coordinates the kernel classifies, bit for bit.
+    b = mi.reduce(mi.validate_basis(m)).basis
+    assert np.array_equal(mi.reduce(b).transform, np.eye(b.dim))
+    rng = np.random.default_rng(51)
+    ps = mi.PeriodicPointSet(b, _boundary_points(b.dim, rng))
+    # Cutoffs on hit distances, and within 1e-12 of them: pairs on a class
+    # corner with a hit on the cutoff come closest to the candidate bound.
+    scale = abs(b.det) ** (1.0 / b.dim)
+    dists = np.unique([h[3] for h in reference_neighbors(ps, 1.6 * scale)
+                       if h[3] > 0.5 * scale])
+    for d in dists[np.linspace(0, len(dists) - 1, 4).astype(int)]:
+        for cutoff in (d, d * (1 - 1e-13), d * (1 + 1e-13)):
+            assert mi.neighbors_within(ps, cutoff) == reference_neighbors(ps, cutoff)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [0.6, 0.7, 0.9, 1.3])
+def test_neighbor_classes_on_their_candidate_bound(n, scale):
+    # In a cubic cell the diameter runs along the diagonal.  The pairs here
+    # differ by f = 0 or f = (1/2, ...), a corner of their class at
+    # diameter / 4 from its center, and the cutoff is the distance of the
+    # diagonal image t = (m, ...): |B (c_q + t)| = cutoff + diameter / 4
+    # holds exactly, so rounding alone decides the bound without its slack.
+    b = mi.validate_basis(scale * np.eye(n))
+    ps = mi.PeriodicPointSet(b, [[0.0] * n, [0.5] * n])
+    for m in (1.0, 1.5, 2.0, 2.5, 3.0):
+        cutoff = float(np.linalg.norm(b.matrix @ np.full(n, m)))
+        assert mi.neighbors_within(ps, cutoff) == reference_neighbors(ps, cutoff)
+
+
+def test_neighbor_classes_reach_far_images(identity3):
+    ps = mi.PeriodicPointSet(identity3, [[0.3, 0.6, 0.9]])
+    hits = mi.neighbors_within(ps, 6.0)
+    assert hits == reference_neighbors(ps, 6.0)
+    assert len(hits) == 925 - 1
+
+
+def test_neighbor_arrays_temporaries_stay_within_row_chunks():
+    import tracemalloc
+
+    rng = np.random.default_rng(52)
+    b = random_cond_basis(rng, 3, 10.0)
+    ps = mi.PeriodicPointSet(b, rng.random((400, 3)))
+    cutoff = 0.1 * abs(b.det) ** (1.0 / 3)
+    distance.neighbor_arrays(ps, cutoff)
+    tracemalloc.start()
+    try:
+        out = distance.neighbor_arrays(ps, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 80,200 pairs: index arrays over all of them would take 5 x _CHUNK
+    # entries per array.
+    assert 0 < len(out[3]) < 1000
+    assert peak - sum(x.nbytes for x in out) < 16 * distance._CHUNK * 8
+
+
+def test_neighbor_arrays_are_the_list_in_columns():
+    rng = np.random.default_rng(53)
+    b = random_cond_basis(rng, 3, 30.0)
+    ps = mi.PeriodicPointSet(b, rng.random((9, 3)))
+    cutoff = 1.3 * abs(b.det) ** (1.0 / 3)
+    i, j, img, d = distance.neighbor_arrays(ps, cutoff)
+    assert img.shape == (len(i), 3) and i.dtype.kind == j.dtype.kind == img.dtype.kind == "i"
+    assert list(zip(i.tolist(), j.tolist(), [LatticeVector(tuple(t)) for t in img.tolist()],
+                    d.tolist())) == mi.neighbors_within(ps, cutoff)
+    empty = distance.neighbor_arrays(ps, 1e-6)
+    assert [x.shape for x in empty] == [(0,), (0,), (0, 3), (0,)]
 
 
 # --- non-finite input ---------------------------------------------------------

@@ -29,5 +29,7 @@ def test_script_runs(tmp_path, script, args):
         assert len(list(tmp_path.glob("*.svg"))) == 3
     if script == "output_digest.py":
         head, *digests = proc.stdout.splitlines()
-        assert head.startswith("18 bases, seed 0")
-        assert len(digests) >= 12 and all(len(line.split()[1]) == 64 for line in digests)
+        assert head.startswith("18 bases, seed 0, neighbor cutoffs 1/2.5 x |det|^(1/n)")
+        assert len(digests) >= 13 and all(len(line.split()[1]) == 64 for line in digests)
+        assert {"neighbors_within@1", "neighbors_within@2.5"} <= {
+            line.split()[0] for line in digests}
