@@ -27,7 +27,7 @@ class ReductionNonConvergence(LatticeError):
 
 
 class DegenerateCell(LatticeError):
-    """Voronoi cell construction failed to produce enough vertices."""
+    """Kept for callers: the superbase Voronoi build cannot fail, so nothing raises it."""
 
 
 class NotAPrimitiveCell(LatticeError):

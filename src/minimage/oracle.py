@@ -2,7 +2,7 @@
 
 These are correctness anchors for tests and for the CLI --verify flag.
 They share only the lattice-core transforms with the fast paths: no basis
-reduction, no coset shortcuts, just exhaustive enumeration over coefficient
+reduction, no superbases, just exhaustive enumeration over coefficient
 boxes.  Every box a check searches is sized here by ``certified_layers``
 from the basis and the answer under test, never from copy counts: the
 translates t with |B (delta + t)| <= d satisfy |t_k| <= d ||row_k(B^-1)|| +
@@ -31,7 +31,7 @@ import numpy as np
 from .core import Basis, LatticeVector, canonical_sign, int_box, int_det
 from .distance import DistanceResult
 from .errors import OracleBudgetExceeded
-from .voronoi import RelevantVectorSet, TIE_REL
+from .voronoi import RelevantVectorSet
 from . import copies as copies_mod
 from . import voronoi as voronoi_mod
 
@@ -44,6 +44,8 @@ WITNESS_GAP = 1e-9
 ORACLE_BUDGET = 1 << 20
 # Relative slack on every certified radius, far above rounding error.
 _SLACK = 1e-9
+# Relative window in which a contesting point ties a facet's own pair.
+TIE_REL = 1e-9
 
 
 def _within_budget(points: int, what: str) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, int_box, matvecs, row_dots, validate_basis
+from .core import Basis, int_box, matvecs, row_dots, unimodular_inverse, validate_basis
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
@@ -42,15 +42,19 @@ class ReducedBasis:
 
     ``basis.matrix == input.matrix @ transform`` holds exactly at the level
     of the integer combination (a single float matmul away from the input).
+    ``superbase`` is an obtuse superbase in ``basis`` coordinates: Selling's
+    in 3D, and in 2D the obtuse basis and minus its sum.
     """
 
     basis: Basis
     transform: np.ndarray
+    superbase: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.transform, dtype=np.int64, copy=True)
-        t.flags.writeable = False
-        object.__setattr__(self, "transform", t)
+        for name in ("transform", "superbase"):
+            t = np.array(getattr(self, name), dtype=np.int64, copy=True)
+            t.flags.writeable = False
+            object.__setattr__(self, name, t)
 
     @property
     def norms(self) -> np.ndarray:
@@ -66,10 +70,14 @@ def reduce(b: Basis) -> ReducedBasis:
     returned, and is_reduced reports it as not fully reduced.
     """
     cols = _gauss_columns(b.matrix)
-    vecs, sets = ((np.array(cols), np.array([[0, 1]])) if b.dim == 2
-                  else _selling_shortest_triples(b.matrix, cols))
-    u = _ranked_config(b.matrix, vecs, sets)
-    return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u)
+    if b.dim == 2:
+        u = _ranked_config(b.matrix, np.array(cols), np.array([[0, 1]]))
+        superbase = [[1, 0, -1], [0, 1, -1]]
+    else:
+        s, vecs, sets = _selling_shortest_triples(b.matrix, cols)
+        u = _ranked_config(b.matrix, vecs, sets)
+        superbase = unimodular_inverse(u) @ s
+    return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u, superbase=superbase)
 
 
 def is_reduced(b: Basis, box=4) -> bool:
@@ -134,10 +142,10 @@ def _gauss_columns(m: np.ndarray) -> list[np.ndarray]:
 
 
 def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
-    """Selling-reduce the superbase of ``start``; return the candidates as
-    coefficient rows in the input basis, and the index rows of every
-    unimodular triple whose sorted norm profile ties the lexicographic
-    minimum within NORM_TIE."""
+    """Selling-reduce the superbase of ``start``; return it as integer
+    columns in the input basis, the candidates as coefficient rows in the
+    input basis, and the index rows of every unimodular triple whose sorted
+    norm profile ties the lexicographic minimum within NORM_TIE."""
     s = np.column_stack(start + [-sum(start)])
     for _ in range(MAX_ITERATIONS):
         c = m @ s
@@ -164,7 +172,7 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
     keep = np.ones(len(_TRIPLES), dtype=bool)
     for k in range(3):
         keep &= profiles[:, k] <= profiles[keep, k].min() * (1.0 + NORM_TIE)
-    return w, _TRIPLES[keep]
+    return s, w, _TRIPLES[keep]
 
 
 # The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import minimage as mi
 from minimage.core import canonical_sign
+
+# Tests reuse the checks of scripts/type_sweep.py.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
 
 # One line per acceptance criterion, echoed after the run (see the
 # pytest_terminal_summary hook below); populated by tests/test_acceptance.py.

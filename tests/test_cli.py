@@ -401,7 +401,9 @@ def _perturbations():
         "cells": (["cells", "--lattice", "identity2"], minimage.cells, "enumerate_ps",
                   lambda f: lambda b: f(b) + [skew_cell]),
         "reduce": (["reduce", "--lattice", TILTED], minimage.reduction, "reduce",
-                   lambda f: lambda b: ReducedBasis(basis=b, transform=np.eye(b.dim))),
+                   lambda f: lambda b: ReducedBasis(
+                       basis=b, transform=np.eye(b.dim),
+                       superbase=np.hstack([np.eye(b.dim), -np.ones((b.dim, 1))]))),
     }
 
 

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("domain_census.py", ["--samples", "5"]),
     ("render_gallery.py", ["--out-dir", None]),
     ("output_digest.py", ["--shrink", "100"]),
+    ("type_sweep.py", ["--per-case", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -33,3 +34,5 @@ def test_script_runs(tmp_path, script, args):
         assert len(digests) >= 13 and all(len(line.split()[1]) == 64 for line in digests)
         assert {"neighbors_within@1", "neighbors_within@2.5"} <= {
             line.split()[0] for line in digests}
+    if script == "type_sweep.py":
+        assert proc.stdout.splitlines()[-1] == "0 of 49 draws not ok"

@@ -4,7 +4,7 @@ import pytest
 import minimage as mi
 from minimage.core import canonical_sign, int_box
 
-from conftest import FCC, HEX_2D, basis_pool, random_cond_basis
+from conftest import FCC, HEX_2D, basis_pool, random_cond_basis, random_unimodular
 
 
 def test_relevant_vectors_identity_2d(identity2):
@@ -71,6 +71,32 @@ def test_voronoi_cell_fcc(fcc):
     assert len(vc.normals) == 12
     assert len(vc.vertices) == 14
     assert vc.volume == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e3, 3e3, 1e4, 3e4])
+def test_elongated_cell_has_a_generic_vertex_set(c):
+    """A generic cell with one edge up to 3e4 times the others: its long
+    facet normals are nearly parallel, yet it keeps one vertex per ordering
+    of the superbase, 24, and its volume."""
+    b = mi.cell_params_to_basis(1.0, 1.1, c, 95.0, 95.0, 95.0)
+    vc = mi.voronoi_cell(b)
+    assert len(vc.vertices) == 24
+    assert vc.volume == pytest.approx(abs(b.det), rel=1e-8)
+
+
+def test_thin_cells_keep_every_facet():
+    """Boxes far thinner than wide: the short edge's conorms fall under the
+    snap, but |v_S|^2 is their sum, so the largest across each cut stays an
+    edge and the cell stays a box.  The 3D frame has Selling stop at a
+    superbase whose conorms fall apart in two pairs."""
+    rng = np.random.default_rng(10)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    frame = q @ np.diag([1.0, 1.0, 1e-5]) @ random_unimodular(rng, 3)
+    for m in (np.diag([1.0, 1e-9]), np.diag([1.0, 1.0, 1e-9]), frame):
+        b = mi.validate_basis(m)
+        vc = mi.voronoi_cell(b)
+        assert (mi.relevant_vectors(b).count, len(vc.vertices)) == (2 * b.dim, 2 ** b.dim)
+        assert vc.volume == pytest.approx(abs(b.det), rel=1e-9)
 
 
 def test_vertices_satisfy_halfspaces():
