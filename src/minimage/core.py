@@ -69,12 +69,8 @@ class Basis:
 
     def diameter(self) -> float:
         """Largest distance between two corners of the unit cell."""
-        return float(np.linalg.norm(self.matrix @ _CORNERS[self.dim], axis=0).max())
-
-
-# Per dimension, the 3^n coefficient vectors in {-1, 0, 1}^n as columns:
-# the differences of two corners of the unit cell.
-_CORNERS = {n: np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * n))).reshape(n, -1) for n in (2, 3)}
+        # The rows of the unit box are the differences of two corners.
+        return float(np.linalg.norm(self.matrix @ int_box((1,) * self.dim).T, axis=0).max())
 
 
 @dataclass(frozen=True)
@@ -271,14 +267,19 @@ def unimodular_inverse(u) -> np.ndarray:
     return np.array(adj, dtype=np.int64) * d
 
 
-def int_box(layers) -> np.ndarray:
-    """All integer vectors t with |t_i| <= layers[i], one per row.
+def int_box(layers, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """All integer vectors t with |t_i| <= layers[i], one per row, as a
+    C-contiguous int64 array, or only its rows start <= k < stop.
 
     Rows come in ``itertools.product`` order (last axis fastest), so every
-    caller that breaks ties by the first row sees the same row first.
+    caller that breaks ties by the first row sees the same row first, and a
+    box streamed in row ranges yields the same rows.  This is the package's
+    only builder of symmetric integer boxes.
     """
     m = np.asarray(layers, dtype=np.int64)
-    return np.ascontiguousarray(np.indices(tuple(2 * m + 1)).reshape(len(m), -1).T) - m
+    shape = tuple(int(x) for x in 2 * m + 1)
+    rows = np.arange(start, math.prod(shape) if stop is None else min(stop, math.prod(shape)))
+    return np.column_stack(np.unravel_index(rows, shape)) - m
 
 
 def canonical_sign(coeffs) -> tuple[int, ...]:

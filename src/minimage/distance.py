@@ -12,8 +12,8 @@ too.  The witness image is mapped back through the unimodular transform so
 results are stated in the caller's coordinates.
 
 The matrix kernel loops over the images of the block, not over point
-pairs: for a chunk of rows it holds per-component difference arrays
-(rows, N) and, per image, adds the shift, squares and sums in place,
+pairs: for a range of rows it holds per-component difference arrays
+(rows, N - start) and, per image, adds the shift, squares and sums in place,
 keeping a running minimum.  It computes the upper triangle and mirrors
 it, which is exact because the block is symmetric.
 
@@ -26,13 +26,17 @@ cell's diameter, is the longest |B x| over x in [-1, 1]^n.  A hit
 |B (f + t)| <= cutoff then has |B (c_q + t)| <= cutoff + diam / 4 by the
 triangle inequality, so the images outside that ball (widened by
 ``_PRUNE_SLACK`` for rounding) are dropped for the whole class without
-losing a hit.  Each class of a chunk of rows evaluates its candidates
-against its pairs only.
+losing a hit.  That ball is the only image prune: c_q has entries +-1/4
+or +-3/4, so |B c_q| <= 3/4 diam and every t in the ball already has
+|B t| <= cutoff + diam.  Each class of a row range evaluates its
+candidates against its pairs only.
 
-Both kernels sum the squares in the order ``(x ** 2).sum(-1)`` uses, with
-the same differences and shifts, so every result is bit-identical to the
-direct broadcast formula.  Rows are chunked so each temporary array holds
-at most ``_CHUNK`` entries, whatever N is.
+Both kernels walk the upper triangle by one row schedule, ``_row_ranges``:
+rows start <= i < stop against columns j >= start, max(1, _CHUNK //
+(N - start)) rows at a time, so each temporary array holds at most
+``_CHUNK`` entries per component, whatever N is.  Both sum the squares in
+the order ``(x ** 2).sum(-1)`` uses, with the same differences and shifts,
+so every result is bit-identical to the direct broadcast formula.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ from . import copies, reduction, voronoi
 # Images within this relative window of the minimum count as ties; the one
 # with the lexicographically smallest coefficient vector is reported.
 TIE_REL = 1e-12
-# Entries per row chunk of the pairwise and neighbor kernels.  Each of
+# Entries per row range of the pairwise and neighbor kernels.  Each of
 # their temporary arrays holds at most this many floats, whatever N is.
 _CHUNK = 1 << 14
 # Most lattice images neighbor_arrays may search.  A cutoff that needs a
 # larger block raises ValueError before anything is allocated.
 _MAX_IMAGES = 1 << 22
-# Relative slack on the image pruning bounds of neighbor_arrays, far above
-# the rounding in the computed shift lengths, class centers and diameter.
+# Relative slack on the image pruning bound of neighbor_arrays, far above
+# the rounding in the computed center distances and diameter.
 _PRUNE_SLACK = 1e-9
 # Classes per unit of fractional difference in neighbor_arrays: a pair's
 # difference f in [-1, 1] per axis falls in one of 2 * _SPLIT classes.
@@ -102,8 +106,7 @@ class DistanceResult:
 def _reduced_search_block(b: Basis) -> tuple[reduction.ReducedBasis, np.ndarray]:
     """Reduced basis plus the translate block that is exact for its cell."""
     p = voronoi._prepare(b)
-    h = voronoi.frac_extents(p, p.red.basis)
-    return p.red, int_box([copies.ceil_snapped(float(x)) for x in h])
+    return p.red, int_box(copies.counts_from_extents(voronoi.frac_extents(p, p.red.basis)).layers)
 
 
 def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,26 +148,21 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     uinv = unimodular_inverse(u)
     w1, d1 = _split_cells(uinv @ p1)
     w2, d2 = _split_cells(uinv @ p2)
-    disp = (d2 - d1)[None, :] + t
-    dd = np.einsum("ij,ij->i", disp @ rm.T, disp @ rm.T)
+    cart = ((d2 - d1)[None, :] + t) @ rm.T
+    dd = np.einsum("ij,ij->i", cart, cart)
     images = (t + (w1 - w2)[None, :]) @ u.T
     k, img = _pick_image(dd, images)
     return DistanceResult(distance=float(math.sqrt(dd[k])), image=LatticeVector(img))
 
 
-def _row_chunks(cart: np.ndarray):
-    """Row chunks of the upper block of all point differences.
-
-    Yields (start, stop, diff) with diff[c, a, b] = cart[start + b, c] -
-    cart[start + a, c] for the rows start <= start + a < stop and the
-    columns start <= start + b < N.  Each chunk holds at most _CHUNK
-    (row, column) entries per component.
-    """
-    npts = len(cart)
-    rows = max(1, _CHUNK // max(1, npts))
-    for start in range(0, npts, rows):
-        stop = min(npts, start + rows)
-        yield start, stop, cart[start:].T[:, None, :] - cart[start:stop].T[:, :, None]
+def _row_ranges(npts: int):
+    """Ranges (start, stop) of rows that, against the columns j >= start,
+    cover the upper triangle of npts points, at most _CHUNK entries each."""
+    start = 0
+    while start < npts:
+        stop = min(npts, start + max(1, _CHUNK // (npts - start)))
+        yield start, stop
+        start = stop
 
 
 def _sq_norm(diff: np.ndarray, s: np.ndarray, out: np.ndarray,
@@ -193,7 +191,9 @@ def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
     npts = len(fr)
     out = np.empty((npts, npts))
     cart = fr @ rm.T
-    for start, stop, diff in _row_chunks(cart):
+    for start, stop in _row_ranges(npts):
+        # diff[c, a, b] = cart[start + b, c] - cart[start + a, c]
+        diff = cart[start:].T[:, None, :] - cart[start:stop].T[:, :, None]
         sq = np.empty(diff.shape[1:])
         tmp = np.empty_like(sq)
         best = np.full_like(sq, np.inf)
@@ -248,10 +248,6 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     # Per-component rows: numpy gathers 1-D arrays far faster than rows.
     shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ u.T).T.copy()
     cell = red.basis.diameter()
-    # A difference of two points of the reduced cell is no longer than its
-    # diameter, so an image with |s| > cutoff + diameter holds no hit.
-    kept = np.flatnonzero(np.linalg.norm(shifts, axis=1) <= (cutoff + cell) * (1.0 + _PRUNE_SLACK))
-    kept_shifts = shifts[kept]
     # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
     # within cell / (2 _SPLIT) of the class center B c_q.
     grid = np.indices((2 * _SPLIT,) * n).reshape(n, -1).T
@@ -261,11 +257,8 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     cart_c = (fr @ rm.T).T.copy()
     npts = len(fr)
     out = []
-    start = 0
-    while start < npts:
-        # Rows start <= i < stop against columns j >= start: at most _CHUNK
-        # (row, column) entries, of which those with j >= i are pairs.
-        stop = min(npts, start + max(1, _CHUNK // (npts - start)))
+    for start, stop in _row_ranges(npts):
+        # Of the (row, column) entries of the range, those with j >= i are pairs.
         i, j = np.nonzero(np.arange(start, npts) >= np.arange(start, stop)[:, None])
         i += start
         j += start
@@ -281,8 +274,8 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
         found = []
         for c in np.flatnonzero(np.diff(bounds)):
             e = by_class[bounds[c]:bounds[c + 1]]
-            x = kept_shifts + centers[c]
-            cand = kept[np.einsum("ij,ij->i", x, x) <= reach]
+            x = shifts + centers[c]
+            cand = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= reach)
             diff = [col[j[e]] - col[i[e]] for col in cart_c]
             found += _class_hits(diff, e, cand, shift_c, cutoff)
         if found:
@@ -294,7 +287,6 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
             i_e, j_e = i[e], j[e]
             img = np.column_stack([a[k] + b[i_e] - b[j_e] for a, b in zip(tu_c, wu_c)])
             out.append((i_e, j_e, img, d))
-        start = stop
     if not out:
         return np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, n), np.int64), np.empty(0)
     return tuple(map(np.concatenate, zip(*out)))
@@ -333,7 +325,7 @@ def _hit_order(pair: np.ndarray, d: np.ndarray, key: np.ndarray) -> np.ndarray:
     """The permutation ``np.lexsort((key, d, pair))``, from one float and one
     integer sort: pair then distance rank as one int64 key, then every run
     of equal (pair, d) put in key order.  pair indexes the entries of one
-    row chunk, fewer than max(_CHUNK, N), and a chunk has at most
+    row range, fewer than max(_CHUNK, N), and a range has at most
     _MAX_IMAGES hits per entry, so the key cannot overflow."""
     rank = np.empty(len(d), dtype=np.int64)
     rank[np.argsort(d)] = np.arange(len(d))

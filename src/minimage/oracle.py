@@ -46,6 +46,8 @@ ORACLE_BUDGET = 1 << 20
 _SLACK = 1e-9
 # Relative window in which a contesting point ties a facet's own pair.
 TIE_REL = 1e-9
+# Rows per array when a box is streamed.
+_BOX_CHUNK = 1 << 16
 
 
 def _within_budget(points: int, what: str) -> None:
@@ -66,14 +68,10 @@ def certified_layers(b: Basis, radius: float, delta=0.0) -> tuple[int, ...]:
     return layers
 
 
-def _box_rows(layers, chunk: int = 1 << 16):
-    """The rows of ``int_box(layers)``, in the same order, ``chunk`` at a time."""
-    m = np.asarray(layers, dtype=np.int64)
-    shape = tuple(int(x) for x in 2 * m + 1)
-    total = math.prod(shape)
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(total, start + chunk))
-        yield np.column_stack(np.unravel_index(flat, shape)) - m
+def _box_rows(layers):
+    """The rows of ``int_box(layers)``, in the same order, _BOX_CHUNK at a time."""
+    for start in range(0, math.prod(2 * int(m) + 1 for m in layers), _BOX_CHUNK):
+        yield int_box(layers, start, start + _BOX_CHUNK)
 
 
 def brute_distance(b: Basis, p1, p2, layers) -> DistanceResult:
@@ -222,8 +220,7 @@ def minimality_witness(cell: Basis, lattice: Basis, axis: int):
         frac = base - np.floor(base)
         for shift in itertools.product((0.0, -1.0), repeat=n):
             deltas.append(frac + np.array(shift))
-    steps = np.arange(-(WITNESS_GRID - 1), WITNESS_GRID) / WITNESS_GRID
-    deltas = np.vstack(deltas + [np.array(list(itertools.product(steps, repeat=n)))])
+    deltas = np.vstack(deltas + [int_box((WITNESS_GRID - 1,) * n) / WITNESS_GRID])
     chunk = max(1, 200_000 // len(full))
     for start in range(0, len(deltas), chunk):
         part = deltas[start:start + chunk]

@@ -34,6 +34,8 @@ COS_SNAP = 1e-9
 # Sorted norm profiles within this relative window of the shortest count
 # as tied, so rounding cannot choose among tied shortest triples.
 NORM_TIE = 1e-9
+# is_reduced checks shortness over the coefficient box of this half-width.
+_SHORTNESS_BOX = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +82,12 @@ def reduce(b: Basis) -> ReducedBasis:
     return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u, superbase=superbase)
 
 
-def is_reduced(b: Basis, box=4) -> bool:
+def is_reduced(b: Basis) -> bool:
     """Check the reduced-basis invariants of ``b``.
 
     Ordering and obtuseness are read off the Gram matrix; shortness is
-    verified by enumerating all lattice vectors with |coefficient k| <= box
-    (or box[k]) and comparing against the successive minima.
+    verified by enumerating all lattice vectors with every |coefficient| <=
+    _SHORTNESS_BOX and comparing against the successive minima.
     """
     m = b.matrix
     n = b.dim
@@ -97,7 +99,7 @@ def is_reduced(b: Basis, box=4) -> bool:
     for i, j in itertools.combinations(range(n), 2):
         if float(m[:, i] @ m[:, j]) > tol * norms[i] * norms[j]:
             return False
-    zs = int_box(np.broadcast_to(box, (n,)))
+    zs = int_box((_SHORTNESS_BOX,) * n)
     lens = np.linalg.norm(zs @ m.T, axis=1)
     # Column k must be no longer than any vector independent of columns < k.
     return all(lens[np.any(zs[:, k:] != 0, axis=1)].min() >= norms[k] * (1.0 - 1e-9)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis, int_box
+from .core import Basis, int_box, matvecs
 from .errors import UnsupportedDimension
 from . import copies, voronoi
 
@@ -34,10 +34,7 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     vverts = _angle_sorted(vc.vertices)
     domain = _hull(np.array([c + v for c in corners for v in vverts]))
 
-    block = []
-    for ij in int_box(counts.layers):
-        shift = cell.matrix @ np.asarray(ij, dtype=float)
-        block.append(corners + shift)
+    block = [corners + shift for shift in matvecs(cell.matrix, int_box(counts.layers))]
 
     pts = np.vstack([domain] + block)
     lo = pts.min(axis=0)
@@ -111,14 +108,9 @@ def _hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _lattice_points(lattice: Basis, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    fr = corners @ lattice.inv.T
-    zmin = np.floor(fr.min(axis=0)).astype(int) - 1
-    zmax = np.ceil(fr.max(axis=0)).astype(int) + 1
-    out = []
-    for ij in itertools.product(*[range(a, b + 1) for a, b in zip(zmin, zmax)]):
-        p = lattice.matrix @ np.asarray(ij, dtype=float)
-        if np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9):
-            out.append(p)
-    return out
+def _lattice_points(lattice: Basis, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # The symmetric box one layer beyond every window corner's fractional
+    # coordinates holds every lattice point of the window.
+    fr = np.array(list(itertools.product(*zip(lo, hi)))) @ lattice.inv.T
+    p = matvecs(lattice.matrix, int_box(np.ceil(np.abs(fr).max(axis=0)).astype(np.int64) + 1))
+    return p[np.all((p >= lo - 1e-9) & (p <= hi + 1e-9), axis=1)]

@@ -184,6 +184,38 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["inline-value", "missing-lattice-file",
+                                  "lattice-file-not-json", "points-without-frac",
+                                  "points-of-the-wrong-dimension"])
+def test_input_errors_are_usage_errors(capsys, tmp_path, case):
+    (tmp_path / "lat.json").write_text('{"columns": [[1, 0], [0, 1]]')
+    (tmp_path / "nofrac.json").write_text('{"points": [[0.1, 0.2]]}')
+    (tmp_path / "pts3.txt").write_text("0.1 0.2 0.3\n")
+    argv = {
+        "inline-value": ["reduce", "--lattice", "1 x 0 1"],
+        "missing-lattice-file": ["reduce", "--lattice-file", str(tmp_path / "none.json")],
+        "lattice-file-not-json": ["reduce", "--lattice-file", str(tmp_path / "lat.json")],
+        "points-without-frac": ["matrix", "--lattice", "identity2",
+                                "--points", str(tmp_path / "nofrac.json")],
+        "points-of-the-wrong-dimension": ["matrix", "--lattice", "identity2",
+                                          "--points", str(tmp_path / "pts3.txt")],
+    }[case]
+    code = run(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage error:")
+
+
+def test_neighbors_below_every_distance_print_no_hits(capsys, tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n0.5 0.5\n")
+    argv = ["neighbors", "--lattice", "identity2", "--points", str(pts), "--cutoff", "0.1"]
+    assert run_json(capsys, argv)["count"] == 0
+    assert run(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["i,j,t1,t2,distance"]
+
+
 @pytest.mark.parametrize("argv", [
     ["dist", "--lattice", "identity2", "--p1", "0.1 0.1", "--p2", "0.9 0.1"],
     ["relevant", "--lattice", "1 0 -0.5 0.8660254037844386"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minimage as mi
-from minimage.core import canonical_sign, int_det, unimodular_inverse
+from minimage.core import canonical_sign, int_box, int_det, unimodular_inverse
 
 from conftest import basis_pool
 
@@ -253,3 +254,15 @@ def test_unimodular_inverse_exact():
 ])
 def test_canonical_sign(vec, expected):
     assert canonical_sign(vec) == expected
+
+
+@pytest.mark.parametrize("layers", [(0, 0), (1, 1), (3, 1), (1, 1, 1), (2, 0, 3)])
+def test_int_box_rows_and_row_ranges(layers):
+    want = np.array(list(itertools.product(*[range(-m, m + 1) for m in layers])))
+    total = len(want)
+    boxes = [(int_box(layers), want)] + [
+        (int_box(layers, start, stop), want[start:stop])
+        for start, stop in [(0, 1), (2, 5), (total - 1, total + 7), (total, None)]]
+    for box, rows in boxes:
+        assert box.dtype == np.int64 and box.flags.c_contiguous
+        assert box.shape == rows.shape and np.array_equal(box, rows)

@@ -293,6 +293,16 @@ def test_kernels_chunked_rows_give_the_same_output(monkeypatch):
     assert mi.neighbors_within(ps, cutoff) == whole[1] == reference_neighbors(ps, cutoff)
 
 
+@pytest.mark.parametrize("npts", [1, 2, 7, 127, 128, 129, 1000, 20000])
+def test_row_ranges_cover_the_triangle_within_the_chunk(npts):
+    ranges = list(distance._row_ranges(npts))
+    assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == npts
+    for start, stop in ranges:
+        assert stop - start == min(npts - start, max(1, distance._CHUNK // (npts - start)))
+        assert stop - start == 1 or (stop - start) * (npts - start) <= distance._CHUNK
+
+
 def test_neighbors_reach_beyond_one_layer_and_self_images(identity3):
     ps = mi.PeriodicPointSet(identity3, [[0.1, 0.2, 0.3], [0.6, 0.6, 0.6]])
     hits = mi.neighbors_within(ps, 2.5)
@@ -306,6 +316,16 @@ def test_neighbors_reach_beyond_one_layer_and_self_images(identity3):
 def test_neighbors_empty_result_matches_reference(identity3):
     ps = mi.PeriodicPointSet(identity3, [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]])
     assert mi.neighbors_within(ps, 0.5) == reference_neighbors(ps, 0.5) == []
+
+
+@pytest.mark.parametrize("pts", [[[0.0, 0.0], [0.5, 0.5]], np.empty((0, 2))],
+                         ids=["below-every-distance", "no-points"])
+def test_neighbor_arrays_empty_result_shapes_and_dtypes(identity2, pts):
+    ps = mi.PeriodicPointSet(identity2, pts)
+    out = distance.neighbor_arrays(ps, 0.1)
+    assert [x.shape for x in out] == [(0,), (0,), (0, 2), (0,)]
+    assert [x.dtype for x in out] == [np.intp, np.intp, np.int64, np.float64]
+    assert mi.neighbors_within(ps, 0.1) == []
 
 
 def test_neighbors_hit_just_inside_the_pruning_bound(identity2):
@@ -340,6 +360,27 @@ def test_neighbor_classes_match_the_whole_block(b):
     ps = mi.PeriodicPointSet(b, rng.random((12, b.dim)))
     cutoff = 1.5 * abs(b.det) ** (1.0 / b.dim)
     assert mi.neighbors_within(ps, cutoff) == reference_neighbors(ps, cutoff)
+
+
+@pytest.mark.parametrize("b", equivalence_bases() + elongated_bases())
+def test_class_ball_implies_the_shift_bound(b):
+    # The only image prune of neighbor_arrays is the class ball.  Every
+    # image in it also passes the shift-length bound |B t| <= cutoff + diam,
+    # because |B c_q| <= 3/4 diam for every class center c_q.
+    red = mi.reduce(b).basis
+    n, cell = b.dim, red.diameter()
+    split, slack = distance._SPLIT, distance._PRUNE_SLACK
+    q = np.array(list(itertools.product(range(-split, split), repeat=n)))
+    centers = ((q + 0.5) / split) @ red.matrix.T
+    shifts = mi.core.int_box((6,) * n) @ red.matrix.T
+    lengths = np.linalg.norm(shifts, axis=1)
+    for scale in (0.05, 0.5, 1.0, 2.5):
+        cutoff = scale * abs(b.det) ** (1.0 / n)
+        reach = ((cutoff + cell / (2 * split)) * (1.0 + slack)) ** 2
+        for center in centers:
+            x = shifts + center
+            ball = np.einsum("ij,ij->i", x, x) <= reach
+            assert np.all(lengths[ball] <= (cutoff + cell) * (1.0 + slack))
 
 
 def _boundary_points(n: int, rng) -> np.ndarray:

@@ -222,3 +222,10 @@ def test_brute_distance_searches_a_given_box_in_chunks(identity3):
     assert res.distance == pytest.approx(np.hypot(0.2, 0.1), rel=1e-12)
     assert res.image.coeffs == (-1, 0, 0)
     assert peak < 32 * 2 ** 20  # the 121^3-row box alone is 42 MB of integers
+
+
+def test_box_rows_stream_the_whole_box_in_order(monkeypatch):
+    monkeypatch.setattr(mi.oracle, "_BOX_CHUNK", 7)
+    parts = list(mi.oracle._box_rows((2, 1, 3)))
+    assert [len(x) for x in parts] == [7] * 15
+    assert np.array_equal(np.vstack(parts), mi.core.int_box((2, 1, 3)))

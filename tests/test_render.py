@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import minimage as mi
-from minimage.render import _hull
+from minimage.render import _hull, _lattice_points
 
 
 def test_hull_square_with_interior_point():
@@ -30,3 +32,25 @@ def test_render_sheared_block(tmp_path, identity2):
 def test_render_rejects_3d(tmp_path, identity3):
     with pytest.raises(mi.UnsupportedDimension):
         mi.render_2d(identity3, None, tmp_path / "x.svg")
+
+
+def loop_lattice_points(lattice, lo, hi):
+    """Test-only copy of the per-point loop the array pass replaced."""
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    fr = corners @ lattice.inv.T
+    zmin = np.floor(fr.min(axis=0)).astype(int) - 1
+    zmax = np.ceil(fr.max(axis=0)).astype(int) + 1
+    out = [lattice.matrix @ np.asarray(ij, dtype=float)
+           for ij in itertools.product(*[range(a, b + 1) for a, b in zip(zmin, zmax)])]
+    return np.array([p for p in out if np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)])
+
+
+def test_lattice_points_match_the_loop_bit_for_bit():
+    rng = np.random.default_rng(54)
+    for k in range(40):
+        b = mi.validate_basis(rng.normal(size=(2, 2)))
+        c = rng.normal(size=2) * (3.0 if k % 2 else 0.5)
+        lo, hi = c - 4.0 * rng.random(2), c + 4.0 * rng.random(2)
+        want = loop_lattice_points(b, lo, hi).reshape(-1, 2)
+        got = _lattice_points(b, lo, hi)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
