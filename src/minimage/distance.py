@@ -18,18 +18,20 @@ keeping a running minimum.  It computes the upper triangle and mirrors
 it, which is exact because the block is symmetric.
 
 The neighbor list evaluates only the (pair, image) candidates that can
-hit.  A pair's reduced fractional difference f = fr_j - fr_i lies in
-[-1, 1]^n; its class q = floor(2 f), per axis in {-2, -1, 0, 1}, spans f
-in [q, q + 1) / 2 around the center c_q = (q + 1/2) / 2.  So f - c_q lies
-in [-1/4, 1/4]^n and |B (f - c_q)| <= diam / 4, where diam, the reduced
+hit, and needs the reduction alone, no Voronoi cell.  A pair's reduced
+fractional difference f = fr_j - fr_i lies in [-1, 1]^n; its class
+q = floor(2 f), per axis in {-2, -1, 0, 1}, spans f in [q, q + 1) / 2
+around the center c_q = (q + 1/2) / 2.  So f - c_q lies in
+[-1/4, 1/4]^n and |B (f - c_q)| <= diam / 4, where diam, the reduced
 cell's diameter, is the longest |B x| over x in [-1, 1]^n.  A hit
 |B (f + t)| <= cutoff then has |B (c_q + t)| <= cutoff + diam / 4 by the
-triangle inequality, so the images outside that ball (widened by
-``_PRUNE_SLACK`` for rounding) are dropped for the whole class without
-losing a hit.  That ball is the only image prune: c_q has entries +-1/4
-or +-3/4, so |B c_q| <= 3/4 diam and every t in the ball already has
-|B t| <= cutoff + diam.  Each class of a row range evaluates its
-candidates against its pairs only.
+triangle inequality, so the images outside the ball of radius
+r = (cutoff + diam / 4)(1 + ``_PRUNE_SLACK``), the slack covering
+rounding, are dropped for the whole class without losing a hit.  That
+ball is the list's only bound.  Every entry of c_q is +-1/4 or +-3/4, so
+an image t in it has |t_k| = |row_k(B^-1) B (c_q + t) - (c_q)_k|
+<= r |row_k(B^-1)| + 3/4, and the search block is the balls' bounding
+box.  Each class that occurs picks its candidates from it once per call.
 
 Both kernels walk the upper triangle by one row schedule, ``_row_ranges``:
 rows start <= i < stop against columns j >= start, max(1, _CHUNK //
@@ -215,48 +217,47 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     in the caller's frame, and the distances d = |B (p_j + image - p_i)|.
 
     Self pairs i == j are included for every nonzero image (both signs);
-    the zero image of a point with itself is not a neighbor.  The search
-    block is sized so no image within the cutoff can be missed:
-    layers_k = ceil((cutoff + diam V) / width_k) with width_k the slab
-    width of the reduced cell along dual axis k; a cutoff whose block holds
-    more than 2**22 images raises ValueError.  Each pair evaluates only the
-    candidate images of its class (see the module docstring).  Hits are
-    sorted by (i, j, distance, image coefficients).
+    the zero image of a point with itself is not a neighbor.  Each pair
+    evaluates only the images in the ball of its class, and the search
+    block is the bounding box of the balls (see the module docstring); a
+    cutoff whose block holds more than 2**22 images raises ValueError.
+    Hits are sorted by (i, j, distance, image coefficients).
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
-    p = voronoi._prepare(ps.basis)
-    red = p.red
+    red = reduction.reduce(ps.basis)
     rm = red.basis.matrix
     u = red.transform
     n = red.basis.dim
     w, fr = _split_cells(ps.points @ unimodular_inverse(u).T)
 
-    diam = 2.0 * float(np.linalg.norm(p.vertices, axis=1).max())
-    widths = 1.0 / np.linalg.norm(red.basis.inv, axis=1)
-    layers = [math.ceil((cutoff + diam) / wd) for wd in widths]
-    if math.prod(2 * m + 1 for m in layers) > _MAX_IMAGES:
-        raise ValueError(f"cutoff {cutoff!r} needs a block of {layers} layers, over "
-                         f"the limit of {_MAX_IMAGES:,} lattice images")
+    # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
+    # within diam / (2 _SPLIT) of the class center B c_q.
+    grid = np.indices((2 * _SPLIT,) * n).reshape(n, -1).T
+    centers = ((grid - _SPLIT + 0.5) / _SPLIT) @ rm.T
+    r = (cutoff + red.basis.diameter() / (2 * _SPLIT)) * (1.0 + _PRUNE_SLACK)
+    # The block is the bounding box of the class balls (module docstring).
+    # Its size is a float, so a huge cutoff overflows to inf, not to an error.
+    with np.errstate(over="ignore"):
+        layers = np.floor(r * np.linalg.norm(red.basis.inv, axis=1) + (1 - 0.5 / _SPLIT))
+        size = np.prod(2 * layers + 1)
+    if size > _MAX_IMAGES:
+        raise ValueError(f"cutoff {cutoff!r} needs a block of {size:.3g} lattice images, "
+                         f"over the limit of {_MAX_IMAGES:,}")
     t = int_box(layers)
     shifts = t @ rm.T
     zero = len(t) // 2  # the middle row of the symmetric block
     # Caller-frame coefficients per block row.  The images of one pair
     # differ only in their row, so row keys order a pair's images.
     tu = t @ u.T
-    row_key = _image_keys(tu)[0]
+    row_key = _image_keys(tu)
     # Per-component rows: numpy gathers 1-D arrays far faster than rows.
     shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ u.T).T.copy()
-    cell = red.basis.diameter()
-    # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
-    # within cell / (2 _SPLIT) of the class center B c_q.
-    grid = np.indices((2 * _SPLIT,) * n).reshape(n, -1).T
-    centers = ((grid - _SPLIT + 0.5) / _SPLIT) @ rm.T
-    reach = ((cutoff + cell / (2 * _SPLIT)) * (1.0 + _PRUNE_SLACK)) ** 2
 
     cart_c = (fr @ rm.T).T.copy()
     npts = len(fr)
     out = []
+    cands = {}  # per class that occurs: the block images within its ball
     for start, stop in _row_ranges(npts):
         # Of the (row, column) entries of the range, those with j >= i are pairs.
         i, j = np.nonzero(np.arange(start, npts) >= np.arange(start, stop)[:, None])
@@ -274,10 +275,11 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
         found = []
         for c in np.flatnonzero(np.diff(bounds)):
             e = by_class[bounds[c]:bounds[c + 1]]
-            x = shifts + centers[c]
-            cand = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= reach)
+            if c not in cands:
+                x = shifts + centers[c]
+                cands[c] = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= r ** 2)
             diff = [col[j[e]] - col[i[e]] for col in cart_c]
-            found += _class_hits(diff, e, cand, shift_c, cutoff)
+            found += _class_hits(diff, e, cands[c], shift_c, cutoff)
         if found:
             e, k, d = map(np.concatenate, zip(*found))
             keep = (k != zero) | (i[e] != j[e])
@@ -312,13 +314,13 @@ def _class_hits(diff: list[np.ndarray], e: np.ndarray, cand: np.ndarray,
     return found
 
 
-def _image_keys(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _image_keys(img: np.ndarray) -> np.ndarray:
     """One integer key per row of coefficients, ordered as the rows are
-    as tuples, with the offset and extents that map a key back."""
+    as tuples."""
     # Per column: numpy reduces a narrow array along axis 0 slowly.
     lo = np.array([c.min() for c in img.T])
     dims = np.array([c.max() for c in img.T]) - lo + 1
-    return np.ravel_multi_index((img - lo).T, dims), lo, dims
+    return np.ravel_multi_index((img - lo).T, dims)
 
 
 def _hit_order(pair: np.ndarray, d: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -347,9 +349,7 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     i, j, img, d = neighbor_arrays(ps, cutoff)
     if not len(d):
         return []
-    key, lo, dims = _image_keys(img)
-    uniq, which = np.unique(key, return_inverse=True)
-    vectors = np.empty(len(uniq), dtype=object)
-    vectors[:] = [LatticeVector(tuple(row)) for row in
-                  (np.column_stack(np.unravel_index(uniq, dims)) + lo).tolist()]
+    _, first, which = np.unique(_image_keys(img), return_index=True, return_inverse=True)
+    vectors = np.empty(len(first), dtype=object)
+    vectors[:] = [LatticeVector(tuple(row)) for row in img[first].tolist()]
     return list(zip(i.tolist(), j.tolist(), vectors[which].tolist(), d.tolist()))

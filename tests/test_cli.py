@@ -293,12 +293,25 @@ def test_non_finite_points_and_cutoff_are_usage_errors(capsys, tmp_path):
     assert "usage error" in capsys.readouterr().err
 
 
-def run_module(module, *args):
+def run_python(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_module(module, *args):
+    return run_python("-m", module, *args)
+
+
+def test_importing_the_package_loads_no_cli_modules():
+    # Every library caller pays for `import minimage`; the argument parser
+    # and the JSON encoder serve the CLI alone.
+    proc = run_python("-c", "import sys, minimage; "
+                            "print(sorted({'minimage.cli', 'argparse', 'json'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", ["minimage.cli", "minimage"])
@@ -508,15 +521,22 @@ def test_determinant_out_of_range_is_a_domain_error(capsys):
     assert "error: |det| is about 1e450, outside float64's normal range" in captured.err
 
 
-def test_neighbors_cutoff_over_the_image_limit_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("lattice, points, cutoff", [
+    # About 8e12 images, 175 TiB of integer coordinates.
+    pytest.param("identity3", "0 0 0\n0.5 0.5 0.5\n", "1e4", id="identity3-1e4"),
+    # The layer count overflows float64; it once raised OverflowError.
+    pytest.param("0.5 0 0 0.5", "0 0\n0.5 0.5\n", "1e308", id="half-square-1e308"),
+])
+def test_neighbors_cutoff_over_the_image_limit_is_usage_error(capsys, tmp_path, lattice,
+                                                              points, cutoff):
     pts = tmp_path / "pts.txt"
-    pts.write_text("0 0 0\n0.5 0.5 0.5\n")
-    # This cutoff needs about 8e12 images, 175 TiB of integer coordinates.
-    argv = ["neighbors", "--lattice", "identity3", "--points", str(pts), "--cutoff", "1e4"]
+    pts.write_text(points)
+    argv = ["neighbors", "--lattice", lattice, "--points", str(pts), "--cutoff", cutoff]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error" in captured.err and "lattice images" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("p1", ["1e19 1e19", "1e300 0"])

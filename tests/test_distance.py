@@ -364,23 +364,29 @@ def test_neighbor_classes_match_the_whole_block(b):
 
 @pytest.mark.parametrize("b", equivalence_bases() + elongated_bases())
 def test_class_ball_implies_the_shift_bound(b):
-    # The only image prune of neighbor_arrays is the class ball.  Every
-    # image in it also passes the shift-length bound |B t| <= cutoff + diam,
-    # because |B c_q| <= 3/4 diam for every class center c_q.
+    # The only bound of neighbor_arrays is the class ball.  Every image in
+    # it also passes the shift-length bound |B t| <= cutoff + diam, because
+    # |B c_q| <= 3/4 diam for every class center c_q, and lies in the
+    # search block, the balls' bounding box: |t_k| <= floor(r / width_k + 3/4).
     red = mi.reduce(b).basis
     n, cell = b.dim, red.diameter()
     split, slack = distance._SPLIT, distance._PRUNE_SLACK
     q = np.array(list(itertools.product(range(-split, split), repeat=n)))
     centers = ((q + 0.5) / split) @ red.matrix.T
-    shifts = mi.core.int_box((6,) * n) @ red.matrix.T
-    lengths = np.linalg.norm(shifts, axis=1)
+    widths = 1.0 / np.linalg.norm(red.inv, axis=1)
     for scale in (0.05, 0.5, 1.0, 2.5):
         cutoff = scale * abs(b.det) ** (1.0 / n)
-        reach = ((cutoff + cell / (2 * split)) * (1.0 + slack)) ** 2
+        r = (cutoff + cell / (2 * split)) * (1.0 + slack)
+        layers = np.floor(r / widths + 0.75)
+        # One layer beyond the block on every axis, and at least 6.
+        t = mi.core.int_box(np.maximum(layers + 1, 6))
+        shifts = t @ red.matrix.T
+        lengths = np.linalg.norm(shifts, axis=1)
         for center in centers:
             x = shifts + center
-            ball = np.einsum("ij,ij->i", x, x) <= reach
+            ball = np.einsum("ij,ij->i", x, x) <= r ** 2
             assert np.all(lengths[ball] <= (cutoff + cell) * (1.0 + slack))
+            assert np.all(np.abs(t[ball]) <= layers)
 
 
 def _boundary_points(n: int, rng) -> np.ndarray:
@@ -520,11 +526,18 @@ def test_neighbors_cutoff_beyond_the_image_limit_allocates_nothing(identity3, mo
 def test_neighbors_image_limit_boundary(identity2, monkeypatch):
     monkeypatch.setattr(distance, "_MAX_IMAGES", 25)
     ps = mi.PeriodicPointSet(identity2, [[0.0, 0.0]])
-    # layers ceil(0.5 + sqrt 2) = 2: a 5 x 5 block, at the limit
-    assert len(mi.neighbors_within(ps, 0.5)) == 0
-    # layers ceil(0.6 + sqrt 2) = 3: 7 x 7 = 49 images
+    # layers floor(1.8 + sqrt 2 / 4 + 3/4) = 2: a 5 x 5 block, at the limit
+    assert len(mi.neighbors_within(ps, 1.8)) == 8
+    # layers floor(1.9 + sqrt 2 / 4 + 3/4) = 3: 7 x 7 = 49 images
     with pytest.raises(ValueError, match="lattice images"):
-        mi.neighbors_within(ps, 0.6)
+        mi.neighbors_within(ps, 1.9)
+
+
+def test_neighbors_huge_finite_cutoff_is_a_value_error():
+    # The block's layer count once overflowed to inf and raised OverflowError.
+    ps = mi.PeriodicPointSet(mi.validate_basis(0.5 * np.eye(2)), [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="lattice images"):
+        mi.neighbors_within(ps, 1e308)
 
 
 # --- coordinates too large to floor exactly -----------------------------------

@@ -71,7 +71,7 @@ OPERATIONS = {
     "pairwise_distances": (lambda b: distance.pairwise_distances(
         distance.PeriodicPointSet(b, np.linspace(0.0, 0.9, 4 * b.dim).reshape(4, b.dim))), 1),
     "neighbors_within": (lambda b: distance.neighbors_within(
-        distance.PeriodicPointSet(b, [[0.2] * b.dim, [0.6] * b.dim]), 1.0), 1),
+        distance.PeriodicPointSet(b, [[0.2] * b.dim, [0.6] * b.dim]), 1.0), 0),
     "check_cell": (lambda b: cells.check_cell(b, b), 1),
     "enumerate_ps": (cells.enumerate_ps, 1),
     "copy_counts": (lambda b: copies.copy_counts(b, b), 1),
