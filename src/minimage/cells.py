@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, canonical_rows, int_dets, unimodular_inverse, validate_basis
+from .core import Basis, canonical_rows, int_dets, unimodular_inverse
 from . import copies, reduction, voronoi
 
 
@@ -75,7 +75,7 @@ def _domains(p: voronoi._Prepared) -> list[CellBasisCandidate]:
     rel = np.array(sorted(p.relevant))
     subsets = rel[list(itertools.combinations(range(len(rel)), p.red.basis.dim))]
     zs = subsets.transpose(0, 2, 1)
-    return [CellBasisCandidate(coeffs=zs[k], basis=validate_basis(p.red.basis.matrix @ zs[k]),
+    return [CellBasisCandidate(coeffs=zs[k], basis=Basis(p.red.basis.matrix @ zs[k]),
                                canonical_key=tuple(map(tuple, subsets[k].tolist())))
             for k in np.flatnonzero(_sufficient(p, zs))]
 

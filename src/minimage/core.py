@@ -30,8 +30,8 @@ from .errors import (DeterminantOutOfRange, InvalidCellParameters, SingularBasis
 # Columns count as linearly independent when |det| exceeds this times the
 # product of the column norms.
 TOL_SINGULAR = 1e-10
-# Smallest and largest normal float64 magnitudes.
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# Each column's largest |entry| must lie in [2^-(SCALE_EXP + 1), 2^SCALE_EXP).
+SCALE_EXP = 200
 # Relative tolerance for numerical identities (round trips, integrality).
 TOL_NUM = 1e-9
 
@@ -40,12 +40,11 @@ TOL_NUM = 1e-9
 class Basis:
     """A lattice basis; columns of ``matrix`` span the unit cell.
 
-    Construct through :func:`validate_basis` (or the ingestion helpers) so
-    the independence invariant is checked and ``det`` is cached.
+    Inputs go through :func:`validate_basis`; bases derived from a valid
+    one are built directly.  ``det`` and ``inv`` are cached on first use.
     """
 
     matrix: np.ndarray
-    det: float
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float, order="C", copy=True)
@@ -59,6 +58,10 @@ class Basis:
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(self.matrix[:, i] for i in range(self.dim))
+
+    @cached_property
+    def det(self) -> float:
+        return float(np.linalg.det(self.matrix))
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -93,6 +96,8 @@ class LatticeVector:
 def validate_basis(matrix) -> Basis:
     """Validate an (n, n) column matrix and return a :class:`Basis`.
 
+    Independence is tested once, on the columns brought into the scale
+    window by powers of two (exact); a basis inside it is tested as given.
     Negative determinants are accepted; orientation is preserved, never
     silently flipped.
 
@@ -103,7 +108,8 @@ def validate_basis(matrix) -> Basis:
     SingularBasis
         If the columns are numerically dependent or not finite.
     DeterminantOutOfRange
-        If the columns are independent but |det| is not a normal float64.
+        If the columns are independent but some column's largest |entry|
+        lies outside [2^-(SCALE_EXP + 1), 2^SCALE_EXP).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
@@ -112,39 +118,23 @@ def validate_basis(matrix) -> Basis:
         )
     if not np.all(np.isfinite(m)):
         raise SingularBasis("basis matrix contains non-finite entries")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        det = float(np.linalg.det(m))
-        bound = TOL_SINGULAR * float(np.prod(np.linalg.norm(m, axis=0)))
-    if _TINY <= abs(det) <= _HUGE and _TINY <= bound <= _HUGE:
-        independent = abs(det) > bound
-    else:
-        # Something left the normal range: judge the columns scaled to
-        # their largest entries instead, where nothing can.
-        independent = abs(_scaled_det(m)) > TOL_SINGULAR
-        if independent and not _TINY <= abs(det) <= _HUGE:
-            raise DeterminantOutOfRange(
-                f"|det| is about 1e{_log10_abs_det(m):.0f}, outside float64's normal range")
-    if not independent:
-        raise SingularBasis(f"columns are numerically dependent (det = {det:g})")
-    return Basis(matrix=m, det=det)
-
-
-def _scaled_det(m: np.ndarray) -> float:
-    """det of ``m`` over the product of its column norms, from the columns
-    divided by their largest entries; 0.0 for a zero column."""
-    peak = np.abs(m).max(axis=0)
-    if not np.all(peak > 0.0):
-        return 0.0
-    with np.errstate(under="ignore"):
-        u = m / peak
-        return float(np.linalg.det(u) / np.prod(np.linalg.norm(u, axis=0)))
-
-
-def _log10_abs_det(m: np.ndarray) -> float:
-    """log10 |det m|, from the same scaled columns."""
-    peak = np.abs(m).max(axis=0)
-    with np.errstate(under="ignore"):
-        return float(np.linalg.slogdet(m / peak)[1] / math.log(10.0) + np.log10(peak).sum())
+    exp = np.frexp(np.abs(m).max(axis=0))[1]
+    shift = exp - np.minimum(np.maximum(exp, -SCALE_EXP), SCALE_EXP)
+    u = np.ldexp(m, -shift)
+    det = float(np.linalg.det(u))
+    if not abs(det) > TOL_SINGULAR * float(np.prod(np.linalg.norm(u, axis=0))):
+        raise SingularBasis("columns are numerically dependent (|det| is at most "
+                            f"{TOL_SINGULAR:g} times the product of the column norms)")
+    if shift.any():
+        log2_det = math.log2(abs(det)) + float(shift.sum())
+        if not -1022 <= log2_det < 1024:
+            raise DeterminantOutOfRange(f"|det| is about 1e{log2_det * math.log10(2):.0f}, "
+                                        "outside float64's normal range")
+        k = int(np.argmax(np.abs(shift)))
+        raise DeterminantOutOfRange(
+            f"column {k + 1} has largest |entry| {np.abs(m[:, k]).max():.2g}, outside the "
+            f"supported scale [2^-{SCALE_EXP + 1}, 2^{SCALE_EXP}), about 3.1e-61 to 1.6e60")
+    return Basis(matrix=m)
 
 
 def cell_params_to_basis(a: float, b: float, c: float,

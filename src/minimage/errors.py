@@ -10,8 +10,7 @@ class SingularBasis(LatticeError):
 
 
 class DeterminantOutOfRange(LatticeError):
-    """The basis is well conditioned, but its determinant lies outside
-    float64's normal range, so its covolume cannot be stated."""
+    """The basis is well conditioned, but outside the supported scale."""
 
 
 class UnsupportedDimension(LatticeError):

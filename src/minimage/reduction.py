@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, int_box, matvecs, row_dots, unimodular_inverse, validate_basis
+from .core import Basis, int_box, matvecs, row_dots, unimodular_inverse
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
@@ -79,7 +79,7 @@ def reduce(b: Basis) -> ReducedBasis:
         s, vecs, sets = _selling_shortest_triples(b.matrix, cols)
         u = _ranked_config(b.matrix, vecs, sets)
         superbase = unimodular_inverse(u) @ s
-    return ReducedBasis(basis=validate_basis(b.matrix @ u), transform=u, superbase=superbase)
+    return ReducedBasis(basis=Basis(b.matrix @ u), transform=u, superbase=superbase)
 
 
 def is_reduced(b: Basis) -> bool:

@@ -382,6 +382,21 @@ def _drop_pair(arrays):
     return tuple(x[(i != 0) | (j != 1)] for x in arrays)
 
 
+def _extra_hit(arrays):
+    """Append an image of pair (0, 1) far outside the cutoff."""
+    i, j, image, d = arrays
+    return (np.append(i, 0), np.append(j, 1), np.vstack([image, [[5, 5]]]), np.append(d, 0.5))
+
+
+def _drop_facet_pair(cell):
+    """Drop the first facet normal and its opposite."""
+    from dataclasses import replace
+
+    n = cell.normals
+    keep = ~(np.all(n == n[0], axis=1) | np.all(n == -n[0], axis=1))
+    return replace(cell, normals=n[keep], offsets=cell.offsets[keep])
+
+
 def _perturbations():
     """(argv, module, attribute, wrapper of the original) per verifier."""
     from dataclasses import replace
@@ -432,11 +447,17 @@ def _perturbations():
             ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
             minimage.cli, "neighbor_arrays",
             lambda f: lambda ps, c: _drop_pair(f(ps, c))),
+        "neighbors-extra-hit": (
+            ["neighbors", "--lattice", "identity2", "--points", "{pts}", "--cutoff", "1.0"],
+            minimage.cli, "neighbor_arrays",
+            lambda f: lambda ps, c: _extra_hit(f(ps, c))),
         "relevant": (["relevant", "--lattice", TILTED], minimage.voronoi, "relevant_vectors",
                      lambda f: lambda b: RelevantVectorSet(vectors=f(b).vectors[:-1],
                                                            cartesians=f(b).cartesians[:-1])),
         "voronoi": (["voronoi", "--lattice", TILTED], minimage.voronoi, "voronoi_cell",
                     lambda f: lambda b: replace(f(b), volume=f(b).volume * 1.001)),
+        "voronoi-facets": (["voronoi", "--lattice", TILTED], minimage.voronoi, "voronoi_cell",
+                           lambda f: lambda b: _drop_facet_pair(f(b))),
         "copies": (["copies", "--cell", SKEW, "--lattice", "identity2"], minimage.copies,
                    "copy_counts", lambda f: lambda c, b: one_layer(f(c, b))),
         "check-cell": (["check-cell", "--cell", SKEW, "--lattice", "identity2"],
@@ -514,11 +535,32 @@ def test_envelope_edge_is_a_domain_error(capsys):
     assert "error: columns are numerically dependent" in captured.err
 
 
-def test_determinant_out_of_range_is_a_domain_error(capsys):
-    assert run(["reduce", "--lattice", "1e150 0 0 0 1e150 0 0 0 1e150"]) == 1
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["reduce", "--lattice", "1e150 0 0 0 1e150 0 0 0 1e150"],
+                 "error: |det| is about 1e450, outside float64's normal range", id="det-1e450"),
+    # Each of these was accepted and then ended in a traceback: IndexError from
+    # the vertex build, ZeroDivisionError once squared lengths underflowed to 0,
+    # and OverflowError from the squared cutoff.
+    pytest.param(["dist", "--lattice", "1e200 0 0 1e-50", "--p1", "0 0", "--p2", "0.5 0"],
+                 "error: column 1 has largest |entry| 1e+200, outside the supported scale",
+                 id="column-1e200"),
+    pytest.param(["reduce", "--lattice", "1e-200 0 0 0 1e-200 0 0 0 1e250"],
+                 "error: column 3 has largest |entry| 1e+250, outside the supported scale",
+                 id="column-1e250"),
+    pytest.param(["neighbors", "--lattice", "0.5e154 0 0 0.5e154", "--points", "{pts}",
+                  "--cutoff", "1e155"],
+                 "error: column 1 has largest |entry| 5e+153, outside the supported scale",
+                 id="half-square-1e154"),
+])
+def test_determinant_out_of_range_is_a_domain_error(capsys, tmp_path, argv, message):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n0.5 0.5\n")
+    assert run([a.replace("{pts}", str(pts)) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: |det| is about 1e450, outside float64's normal range" in captured.err
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("lattice, points, cutoff", [

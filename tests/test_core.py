@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,10 +79,11 @@ def test_determinant_outside_float64_is_its_own_error(recwarn, m, exponent):
     assert not recwarn.list
 
 
-def test_independence_survives_an_overflowing_norm(recwarn):
-    """A column norm overflows, the determinant does not: the basis is valid."""
-    b = mi.validate_basis(np.diag([1e-200, 1e-200, 1e250]))
-    assert b.det == pytest.approx(1e-150, rel=1e-12)
+def test_an_overflowing_norm_is_out_of_scale(recwarn):
+    """A column norm overflows, the determinant does not: the basis is out of
+    the supported scale, since its squared lengths leave float64's range."""
+    with pytest.raises(mi.DeterminantOutOfRange, match="column 3 .* supported scale"):
+        mi.validate_basis(np.diag([1e-200, 1e-200, 1e250]))
     assert not recwarn.list
 
 
@@ -111,6 +113,86 @@ def test_range_judged_by_the_scaled_rule():
             mi.validate_basis(independent * scale)
         with pytest.raises(mi.SingularBasis):
             mi.validate_basis(dependent * scale)
+
+
+# --- the decision against the two-path rule it replaced ----------------------
+
+
+def two_path_rule(matrix):
+    """The independence rule of ``validate_basis`` before it had a scale
+    window: the test on the columns as given where the determinant and the
+    norm product are normal floats, and otherwise on the columns divided by
+    their largest entries.  Returns the ``det`` it accepted with, or the
+    error type it raised."""
+    tiny, huge = float(np.finfo(float).tiny), float(np.finfo(float).max)
+    m = np.asarray(matrix, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = float(np.linalg.det(m))
+        bound = mi.core.TOL_SINGULAR * float(np.prod(np.linalg.norm(m, axis=0)))
+    if tiny <= abs(det) <= huge and tiny <= bound <= huge:
+        independent = abs(det) > bound
+    else:
+        peak = np.abs(m).max(axis=0)
+        independent = False
+        if np.all(peak > 0.0):
+            with np.errstate(under="ignore"):
+                u = m / peak
+                ratio = np.linalg.det(u) / np.prod(np.linalg.norm(u, axis=0))
+            independent = abs(float(ratio)) > mi.core.TOL_SINGULAR
+        if independent and not tiny <= abs(det) <= huge:
+            return mi.DeterminantOutOfRange
+    return det if independent else mi.SingularBasis
+
+
+def sweep_matrices(rng, n: int) -> list[np.ndarray]:
+    """A random basis at cond 10^U(0, 12), with its columns scaled by
+    independent powers of two up to 2^+-190.  One draw in three instead
+    gives two matrices that straddle the two-path rule's TOL_SINGULAR edge:
+    the last column is a combination of the others plus s times a random
+    vector, with s bisected until one more step would not change a bit."""
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q1 @ np.diag(np.geomspace(1.0, 10.0 ** -rng.uniform(0, 12), n)) @ q2
+    m = np.ldexp(m, rng.integers(-190, 191, size=n))
+    if rng.random() > 1 / 3:
+        return [m]
+    inside, off = m[:, :-1] @ rng.normal(size=n - 1), m[:, -1] * rng.normal(size=n)
+
+    def at(s):
+        out = m.copy()
+        out[:, -1] = inside + s * off
+        return out
+
+    accepted = [two_path_rule(at(s)) is not mi.SingularBasis for s in (0.0, 1.0)]
+    if accepted != [False, True]:
+        return [m]
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if two_path_rule(at(mid)) is not mi.SingularBasis else (mid, hi)
+    return [at(lo), at(hi)]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_decisions_match_the_two_path_rule(n):
+    """Inside the scale window the one test decides as the two-path rule
+    did, also one bit from its edge, and the accepted ``det`` has the same
+    bits."""
+    rng = np.random.default_rng([15, n])
+    outcomes = Counter()
+    for _ in range(2000):
+        for m in sweep_matrices(rng, n):
+            if np.abs(np.frexp(np.abs(m).max(axis=0))[1]).max() > mi.core.SCALE_EXP:
+                outcomes["outside the window"] += 1
+                continue
+            want = two_path_rule(m)
+            try:
+                got = mi.validate_basis(m).det
+            except mi.LatticeError as exc:
+                got = type(exc)
+            assert got == want if isinstance(want, float) else got is want, m.tolist()
+            outcomes[want if want is mi.SingularBasis else "accepted"] += 1
+    assert outcomes["accepted"] > 1000 and outcomes[mi.SingularBasis] > 500, outcomes
+    assert outcomes["outside the window"] < 200, outcomes
 
 
 def test_non_finite_rejected():
@@ -148,6 +230,8 @@ def test_cell_params_round_trip():
     assert b.det > 0
     back = mi.basis_to_cell_params(b)
     assert back == pytest.approx(params, rel=1e-9)
+    with pytest.raises(mi.UnsupportedDimension):
+        mi.basis_to_cell_params(mi.validate_basis(np.eye(2)))
 
 
 @pytest.mark.parametrize("params", [

@@ -538,6 +538,15 @@ def test_neighbors_huge_finite_cutoff_is_a_value_error():
     ps = mi.PeriodicPointSet(mi.validate_basis(0.5 * np.eye(2)), [[0.0, 0.0]])
     with pytest.raises(ValueError, match="lattice images"):
         mi.neighbors_within(ps, 1e308)
+    # At the top of the scale window, a cutoff whose square overflows needs
+    # far more images than the limit, so the limit fires before any squared
+    # cutoff is formed.  Beyond the window, 0.5e154 * I at cutoff 1e155 once
+    # passed the limit and raised OverflowError from the squared cutoff.
+    top = mi.PeriodicPointSet(mi.validate_basis(np.ldexp(np.eye(2), mi.core.SCALE_EXP - 1)),
+                              [[0.0, 0.0], [0.5, 0.5]])
+    for cutoff in (1e155, 1e300):
+        with pytest.raises(ValueError, match="lattice images"):
+            mi.neighbor_arrays(top, cutoff)
 
 
 # --- coordinates too large to floor exactly -----------------------------------

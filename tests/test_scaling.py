@@ -6,7 +6,11 @@ public operation must stay the same and every float output must scale by
 the matching power of two, bit for bit, as long as nothing leaves the
 normal range.  A rewritten stage that compared against an absolute
 tolerance, or rounded differently at one scale than at another, would
-break this.  k ranges over +-(300 // n - 5), where |det| stays normal.
+break this.  k ranges over +-(SCALE_EXP - 10): ``validate_basis`` accepts
+columns whose largest |entry| lies in [2^-(SCALE_EXP + 1), 2^SCALE_EXP),
+and the scale of the test bases is about 1, so that is the whole window
+less a margin for their spread.  Both sides of the window's edges are
+tested on a unit basis.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 import minimage as mi
+from minimage.core import SCALE_EXP
 
 from conftest import FCC, HEX_2D, random_cond_basis, skewed_basis
 
@@ -74,7 +79,7 @@ def case_bases(n: int, seed: int) -> list[mi.Basis]:
 @pytest.mark.parametrize("n", (2, 3))
 def test_power_of_two_scaling_is_exact(n, seed):
     rng = np.random.default_rng([n, seed])
-    kmax = 300 // n - 5
+    kmax = SCALE_EXP - 10
     for b in case_bases(n, seed):
         k = int(rng.integers(-kmax, kmax + 1))
         point_seed = int(rng.integers(2 ** 32))
@@ -88,7 +93,23 @@ def test_power_of_two_scaling_is_exact(n, seed):
 def test_the_scaling_range_reaches_both_ends(n):
     """The extreme exponents themselves, on one basis each."""
     b = case_bases(n, 99)[0]
-    kmax = 300 // n - 5
+    kmax = SCALE_EXP - 10
     want = outputs(b, 0, np.random.default_rng(5))
     for k in (-kmax, kmax):
         assert outputs(b, k, np.random.default_rng(5)) == want
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_scale_window_edges(n):
+    """A unit basis times 2^199 or 2^-201 is accepted; times 2^200 or 2^-202
+    it is out of the supported scale."""
+    for k in (SCALE_EXP - 1, -SCALE_EXP - 1):
+        assert mi.validate_basis(scaled(np.eye(n), k)).det == pytest.approx(2.0 ** (n * k))
+    for k in (SCALE_EXP, -SCALE_EXP - 2):
+        with pytest.raises(mi.DeterminantOutOfRange, match="supported scale"):
+            mi.validate_basis(scaled(np.eye(n), k))
+    # One column out of the window is enough.
+    m = np.eye(n)
+    m[:, -1] = scaled(m[:, -1], SCALE_EXP)
+    with pytest.raises(mi.DeterminantOutOfRange, match=f"column {n} "):
+        mi.validate_basis(m)

@@ -1,9 +1,11 @@
 """Each lattice fact is computed once per public call, in one array pass.
 
 Every public operation reduces the basis once and builds the Voronoi
-vertices at most once, through ``voronoi._prepare``.  The stage counts are
-checked with counting wrappers around ``reduction.reduce`` and
-``voronoi._vertices``, the vertex build from the obtuse superbase.
+vertices at most once, through ``voronoi._prepare``, and validates no
+basis: inputs arrive validated, and the bases derived from them are built
+directly.  The stage counts are checked with counting wrappers around
+``reduction.reduce``, ``voronoi._vertices`` (the vertex build from the
+obtuse superbase) and ``validate_basis`` wherever the package binds it.
 ``frozen_outputs.json`` holds outputs of the code as it was before the
 stages were shared, when ``min_image_distance`` reduced every basis twice
 and ``check_cell`` five times; integer results and distance bits must
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -62,6 +65,10 @@ def stage_calls(monkeypatch):
 
     monkeypatch.setattr(reduction, "reduce", counting("reduce", reduction.reduce))
     monkeypatch.setattr(voronoi, "_vertices", counting("vertices", voronoi._vertices))
+    validate = mi.validate_basis
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "minimage" and getattr(module, "validate_basis", None) is validate:
+            monkeypatch.setattr(module, "validate_basis", counting("validate", validate))
     return calls
 
 
@@ -78,6 +85,7 @@ OPERATIONS = {
     "domain_extents": (lambda b: copies.domain_extents(b, b), 1),
     "voronoi_cell": (voronoi.voronoi_cell, 1),
     "relevant_vectors": (voronoi.relevant_vectors, 0),
+    "reduce": (lambda b: reduction.reduce(b), 0),
 }
 
 
@@ -87,14 +95,16 @@ OPERATIONS = {
 def test_one_reduction_and_at_most_one_vertex_build(stage_calls, name, cond, n):
     b = random_cond_basis(np.random.default_rng(7), n, cond)
     op, builds = OPERATIONS[name]
+    stage_calls.clear()
     op(b)
-    assert stage_calls == Counter(reduce=1, vertices=builds)
+    assert stage_calls == Counter(reduce=1, vertices=builds, validate=0)
 
 
 def test_render_reduces_once(stage_calls, tmp_path):
     b = random_cond_basis(np.random.default_rng(7), 2, 1e2)
+    stage_calls.clear()
     render.render_2d(b, None, tmp_path / "cell.svg")
-    assert stage_calls == Counter(reduce=1, vertices=1)
+    assert stage_calls == Counter(reduce=1, vertices=1, validate=0)
 
 
 def test_check_cell_counts_equal_copy_counts():
