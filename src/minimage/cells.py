@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, canonical_rows, int_dets, unimodular_inverse
+from .core import Basis, canonical_rows, int_dets
 from . import copies, reduction, voronoi
 
 
@@ -85,7 +85,7 @@ def _sufficient(p: voronoi._Prepared, zs: np.ndarray) -> np.ndarray:
     cell rm @ z whose Voronoi extents are within one layer per axis."""
     ok = np.abs(int_dets(zs)) == 1
     inv = np.linalg.inv(p.red.basis.matrix @ zs[ok])
-    ok[ok] = copies.sufficient_from_extents(np.abs(p.vertices @ inv.transpose(0, 2, 1)).max(axis=1))
+    ok[ok] = copies.sufficient_from_extents(voronoi._reach(p.vertices, inv))
     return ok
 
 
@@ -99,7 +99,7 @@ def check_cell(cell: Basis, lattice: Basis) -> CellCheckReport:
     w = copies.primitive_coeffs(cell, lattice)
     p = voronoi._prepare(lattice)
     counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
-    key = canonical_cell_key(unimodular_inverse(p.red.transform) @ w)
+    key = canonical_cell_key(p.red.inverse @ w)
     return CellCheckReport(
         sufficient=bool(copies.sufficient_from_extents(counts.h)),
         counts=counts,

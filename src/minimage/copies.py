@@ -98,10 +98,7 @@ def counts_from_extents(h) -> CopyCounts:
     """Copy counts for the half-extents ``h`` of a reach domain."""
     layers = tuple(ceil_snapped(float(v)) for v in h)
     per_axis = tuple(2 * m + 1 for m in layers)
-    total = 1
-    for p in per_axis:
-        total *= p
-    return CopyCounts(layers=layers, per_axis=per_axis, total=total,
+    return CopyCounts(layers=layers, per_axis=per_axis, total=math.prod(per_axis),
                       h=tuple(float(v) for v in h))
 
 

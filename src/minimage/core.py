@@ -203,14 +203,24 @@ def wrap_frac(frac) -> np.ndarray:
     return np.where(w >= 1.0, 0.0, w)
 
 
+def _adjugate(m) -> tuple[list[list[int]], int]:
+    """The adjugate of a small integer matrix by cofactors, and its
+    determinant, in Python ints."""
+    a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        adj = [[s, -q], [-r, p]]
+    else:
+        (p, q, r), (s, t, v), (w, x, y) = a
+        adj = [[t * y - v * x, r * x - q * y, q * v - r * t],
+               [v * w - s * y, p * y - r * w, r * s - p * v],
+               [s * x - t * w, q * w - p * x, p * t - q * s]]
+    return adj, sum(a[0][k] * adj[k][0] for k in range(len(a)))
+
+
 def int_det(m) -> int:
     """Exact determinant of a small integer matrix."""
-    a = [[int(x) for x in row] for row in np.asarray(m)]
-    if len(a) == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    return _adjugate(m)[1]
 
 
 def int_dets(z: np.ndarray) -> np.ndarray:
@@ -234,24 +244,21 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def canonical_rows(m: np.ndarray) -> np.ndarray:
-    """:func:`canonical_sign` of every row of a nonzero integer matrix."""
+    """Every row of an integer matrix signed so that its first nonzero
+    entry is positive; a zero row stays zero."""
     first = m[np.arange(len(m)), np.argmax(m != 0, axis=1)]
     return m * np.sign(first)[:, None]
 
 
+def canonical_sign(coeffs) -> tuple[int, ...]:
+    """One integer vector signed as :func:`canonical_rows` signs a row."""
+    return tuple(canonical_rows(np.array([[int(c) for c in coeffs]]))[0].tolist())
+
+
 def unimodular_inverse(u) -> np.ndarray:
     """Exact integer inverse of a unimodular integer matrix: its adjugate
-    times its determinant (which is +-1), written out by cofactors."""
-    a = [[int(x) for x in row] for row in np.asarray(u).tolist()]
-    if len(a) == 2:
-        (p, q), (r, s) = a
-        adj = [[s, -q], [-r, p]]
-    else:
-        (p, q, r), (s, t, v), (w, x, y) = a
-        adj = [[t * y - v * x, r * x - q * y, q * v - r * t],
-               [v * w - s * y, p * y - r * w, r * s - p * v],
-               [s * x - t * w, q * w - p * x, p * t - q * s]]
-    d = sum(a[0][k] * adj[k][0] for k in range(len(a)))
+    times its determinant, which is +-1."""
+    adj, d = _adjugate(u)
     if abs(d) != 1:
         raise ValueError(f"matrix is not unimodular (det = {d})")
     return np.array(adj, dtype=np.int64) * d
@@ -270,12 +277,3 @@ def int_box(layers, start: int = 0, stop: int | None = None) -> np.ndarray:
     shape = tuple(int(x) for x in 2 * m + 1)
     rows = np.arange(start, math.prod(shape) if stop is None else min(stop, math.prod(shape)))
     return np.column_stack(np.unravel_index(rows, shape)) - m
-
-
-def canonical_sign(coeffs) -> tuple[int, ...]:
-    """Normalize an integer vector so its first nonzero entry is positive."""
-    t = tuple(int(c) for c in coeffs)
-    for x in t:
-        if x != 0:
-            return t if x > 0 else tuple(-y for y in t)
-    return t

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, LatticeVector, int_box, unimodular_inverse, wrap_frac
+from .core import Basis, LatticeVector, int_box, wrap_frac
 from . import copies, reduction, voronoi
 
 # Images within this relative window of the minimum count as ties; the one
@@ -122,9 +122,7 @@ def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pick_image(dd: np.ndarray, images: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Index and coefficients of the minimal image, ties broken lexically."""
-    dmin = float(dd.min())
-    window = dmin * (1.0 + 2.0 * TIE_REL)
-    tied = np.flatnonzero(dd <= window)
+    tied = np.flatnonzero(dd <= float(dd.min()) * (1.0 + 2.0 * TIE_REL))
     best = min(tied, key=lambda t: tuple(images[t]))
     return int(best), tuple(int(x) for x in images[best])
 
@@ -137,22 +135,18 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     over the searched block; exact ties return the lexicographically
     smallest coefficient vector.  Each point needs n coordinates.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     if p1.shape != (b.dim,) or p2.shape != (b.dim,):
         raise ValueError(f"points must have {b.dim} coordinates, got shapes "
                          f"{p1.shape} and {p2.shape}")
     if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
         raise ValueError("points must be finite")
     red, t = _reduced_search_block(b)
-    rm = red.basis.matrix
-    u = red.transform
-    uinv = unimodular_inverse(u)
-    w1, d1 = _split_cells(uinv @ p1)
-    w2, d2 = _split_cells(uinv @ p2)
-    cart = ((d2 - d1)[None, :] + t) @ rm.T
+    w1, d1 = _split_cells(red.inverse @ p1)
+    w2, d2 = _split_cells(red.inverse @ p2)
+    cart = ((d2 - d1)[None, :] + t) @ red.basis.matrix.T
     dd = np.einsum("ij,ij->i", cart, cart)
-    images = (t + (w1 - w2)[None, :]) @ u.T
+    images = (t + (w1 - w2)[None, :]) @ red.transform.T
     k, img = _pick_image(dd, images)
     return DistanceResult(distance=float(math.sqrt(dd[k])), image=LatticeVector(img))
 
@@ -187,8 +181,7 @@ def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
     """Symmetric matrix of quotient distances between all point pairs."""
     red, t = _reduced_search_block(ps.basis)
     rm = red.basis.matrix
-    uinv = unimodular_inverse(red.transform)
-    fr = wrap_frac(ps.points @ uinv.T)
+    fr = wrap_frac(ps.points @ red.inverse.T)
     shifts = t @ rm.T
     npts = len(fr)
     out = np.empty((npts, npts))
@@ -227,9 +220,8 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
         raise ValueError("cutoff must be positive and finite")
     red = reduction.reduce(ps.basis)
     rm = red.basis.matrix
-    u = red.transform
     n = red.basis.dim
-    w, fr = _split_cells(ps.points @ unimodular_inverse(u).T)
+    w, fr = _split_cells(ps.points @ red.inverse.T)
 
     # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
     # within diam / (2 _SPLIT) of the class center B c_q.
@@ -249,10 +241,10 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     zero = len(t) // 2  # the middle row of the symmetric block
     # Caller-frame coefficients per block row.  The images of one pair
     # differ only in their row, so row keys order a pair's images.
-    tu = t @ u.T
+    tu = t @ red.transform.T
     row_key = _image_keys(tu)
     # Per-component rows: numpy gathers 1-D arrays far faster than rows.
-    shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ u.T).T.copy()
+    shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ red.transform.T).T.copy()
 
     cart_c = (fr @ rm.T).T.copy()
     npts = len(fr)

@@ -186,7 +186,7 @@ def block_counterexample(cell: Basis, layers):
     big = [max(axis) for axis in zip(*boxes)]
     _within_budget(len(deltas) * math.prod(2 * m + 1 for m in big), "the block check")
     (d_big,) = _block_minima(cell.matrix, deltas, int_box(big))
-    bad = np.flatnonzero(d_small - d_big > 1e-12 * np.maximum(1.0, d_big))
+    bad = np.flatnonzero(d_small - d_big > 1e-12 * d_big)
     return (list(pairs[bad[0], 0]), list(pairs[bad[0], 1])) if len(bad) else None
 
 

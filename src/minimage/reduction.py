@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, int_box, matvecs, row_dots, unimodular_inverse
+from .core import Basis, int_box, int_dets, matvecs, row_dots, unimodular_inverse
 from .errors import ReductionNonConvergence
 
 MAX_ITERATIONS = 1000
@@ -45,15 +45,19 @@ class ReducedBasis:
     ``basis.matrix == input.matrix @ transform`` holds exactly at the level
     of the integer combination (a single float matmul away from the input).
     ``superbase`` is an obtuse superbase in ``basis`` coordinates: Selling's
-    in 3D, and in 2D the obtuse basis and minus its sum.
+    in 3D, and in 2D the obtuse basis and minus its sum.  ``inverse``, the
+    exact inverse of ``transform``, is computed here when not given.
     """
 
     basis: Basis
     transform: np.ndarray
     superbase: np.ndarray
+    inverse: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("transform", "superbase"):
+        if self.inverse is None:
+            object.__setattr__(self, "inverse", unimodular_inverse(self.transform))
+        for name in ("transform", "superbase", "inverse"):
             t = np.array(getattr(self, name), dtype=np.int64, copy=True)
             t.flags.writeable = False
             object.__setattr__(self, name, t)
@@ -74,12 +78,12 @@ def reduce(b: Basis) -> ReducedBasis:
     cols = _gauss_columns(b.matrix)
     if b.dim == 2:
         u = _ranked_config(b.matrix, np.array(cols), np.array([[0, 1]]))
-        superbase = [[1, 0, -1], [0, 1, -1]]
+        s = np.column_stack([u, -u.sum(axis=1)])
     else:
         s, vecs, sets = _selling_shortest_triples(b.matrix, cols)
         u = _ranked_config(b.matrix, vecs, sets)
-        superbase = unimodular_inverse(u) @ s
-    return ReducedBasis(basis=Basis(b.matrix @ u), transform=u, superbase=superbase)
+    uinv = unimodular_inverse(u)
+    return ReducedBasis(basis=Basis(b.matrix @ u), transform=u, superbase=uinv @ s, inverse=uinv)
 
 
 def is_reduced(b: Basis) -> bool:
@@ -89,16 +93,12 @@ def is_reduced(b: Basis) -> bool:
     verified by enumerating all lattice vectors with every |coefficient| <=
     _SHORTNESS_BOX and comparing against the successive minima.
     """
-    m = b.matrix
-    n = b.dim
+    m, n = b.matrix, b.dim
     norms = np.linalg.norm(m, axis=0)
-    tol = COS_SNAP
-    for i in range(n - 1):
-        if norms[i] > norms[i + 1] * (1.0 + tol):
-            return False
-    for i, j in itertools.combinations(range(n), 2):
-        if float(m[:, i] @ m[:, j]) > tol * norms[i] * norms[j]:
-            return False
+    if (any(norms[i] > norms[i + 1] * (1.0 + COS_SNAP) for i in range(n - 1))
+            or any(float(m[:, i] @ m[:, j]) > COS_SNAP * norms[i] * norms[j]
+                   for i, j in itertools.combinations(range(n), 2))):
+        return False
     zs = int_box((_SHORTNESS_BOX,) * n)
     lens = np.linalg.norm(zs @ m.T, axis=1)
     # Column k must be no longer than any vector independent of columns < k.
@@ -128,7 +128,10 @@ def _gauss_columns(m: np.ndarray) -> list[np.ndarray]:
         v2, v = cols.pop(k)
         w = v
         for u2, u in cols[:k]:
-            w = w - round(float((m @ u) @ (m @ w)) / u2) * u
+            q = float((m @ u) @ (m @ w)) / u2
+            if not abs(q) < 2.0 ** 53:  # where a float stops being an exact integer
+                raise ReductionNonConvergence("Lagrange-Gauss coefficient reached 2**53")
+            w = w - round(q) * u
         w2 = _norm2(m, w)
         p = sum(u2 <= w2 for u2, _ in cols[:k])
         # Rounding at a norm tie can lengthen a column by noise.  Only the
@@ -178,11 +181,11 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
 
 
 # The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and
-# the index triples of those with determinant +-1 (exact once rounded, for
-# such entries).  The superbase is unimodular, so it keeps these triples.
+# the index triples of those with determinant +-1.  The superbase is
+# unimodular, so it keeps these triples.
 _CANDIDATES = int_box((1, 1, 1))[14:]
 _TRIPLES = np.array(list(itertools.combinations(range(13), 3)))
-_TRIPLES = _TRIPLES[np.abs(np.linalg.det(_CANDIDATES[_TRIPLES])).round() == 1]
+_TRIPLES = _TRIPLES[np.abs(int_dets(_CANDIDATES[_TRIPLES])) == 1]
 
 
 def _selling_step(i: int, j: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis, int_box, matvecs
+from .core import Basis, canonical_rows, int_box, matvecs
 from .errors import UnsupportedDimension
 from . import copies, voronoi
 
@@ -24,24 +24,20 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     the reach domain (cell + V Minkowski sum).  2D only."""
     if lattice.dim != 2:
         raise UnsupportedDimension("rendering is implemented for 2D only")
-    if cell is None:
-        cell = lattice
+    cell = lattice if cell is None else cell
     copies.primitive_coeffs(cell, lattice)
-    vc = voronoi.voronoi_cell(lattice)
-    counts = copies.counts_from_extents(voronoi.frac_extents(vc, cell))
+    p = voronoi._prepare(lattice)
+    counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
 
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ cell.matrix.T
-    vverts = _angle_sorted(vc.vertices)
+    vverts = p.vertices[np.argsort(np.arctan2(p.vertices[:, 1], p.vertices[:, 0]), kind="stable")]
     domain = _hull(np.array([c + v for c in corners for v in vverts]))
 
     block = [corners + shift for shift in matvecs(cell.matrix, int_box(counts.layers))]
 
     pts = np.vstack([domain] + block)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = hi - lo
-    lo = lo - MARGIN * span
-    hi = hi + MARGIN * span
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = lo - MARGIN * (hi - lo), hi + MARGIN * (hi - lo)
     scale = WIDTH / (hi[0] - lo[0])
     height = (hi[1] - lo[1]) * scale
 
@@ -51,8 +47,8 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     def poly(points, style):
         return f'<polygon points="{" ".join(xy(p) for p in points)}" style="{style}"/>'
 
-    latpts = _lattice_points(lattice, lo, hi)
-    relset = {tuple(np.round(r, 9)) for r in vc.normals}
+    relevant = voronoi._in_basis(lattice, p.red, p.relevant).coeff_set()
+    coeffs, latpts = _lattice_points(lattice, lo, hi)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
@@ -64,11 +60,11 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
         parts.append(poly(copy_corners, "fill:none;stroke:#999999;stroke-width:0.8"))
     parts.append(poly(corners, "fill:#08519c;fill-opacity:0.35;stroke:#08519c;stroke-width:1.5"))
     parts.append(poly(vverts, "fill:none;stroke:#d62728;stroke-width:1.5"))
-    for p in latpts:
-        parts.append(f'<circle cx="{xy(p).split(",")[0]}" cy="{xy(p).split(",")[1]}" '
+    for z, q in zip(canonical_rows(coeffs).tolist(), latpts):
+        parts.append(f'<circle cx="{xy(q).split(",")[0]}" cy="{xy(q).split(",")[1]}" '
                      'r="3" fill="#2ca02c"/>')
-        if tuple(np.round(p, 9)) in relset:
-            parts.append(f'<circle cx="{xy(p).split(",")[0]}" cy="{xy(p).split(",")[1]}" '
+        if tuple(z) in relevant:
+            parts.append(f'<circle cx="{xy(q).split(",")[0]}" cy="{xy(q).split(",")[1]}" '
                          'r="7" fill="none" stroke="#d62728" stroke-width="1.5"/>')
     parts.append(
         '<text x="10" y="16" font-size="12" fill="#333">'
@@ -80,11 +76,6 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     path = Path(out)
     path.write_text("\n".join(parts), encoding="utf-8")
     return path
-
-
-def _angle_sorted(points: np.ndarray) -> np.ndarray:
-    ang = np.arctan2(points[:, 1], points[:, 0])
-    return points[np.argsort(ang, kind="stable")]
 
 
 def _hull(points: np.ndarray) -> np.ndarray:
@@ -108,9 +99,13 @@ def _hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _lattice_points(lattice: Basis, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # The symmetric box one layer beyond every window corner's fractional
-    # coordinates holds every lattice point of the window.
+def _lattice_points(lattice: Basis, lo: np.ndarray, hi: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and points of the lattice points in the window [lo, hi]:
+    the symmetric box one layer beyond every window corner's fractional
+    coordinates holds them all."""
     fr = np.array(list(itertools.product(*zip(lo, hi)))) @ lattice.inv.T
-    p = matvecs(lattice.matrix, int_box(np.ceil(np.abs(fr).max(axis=0)).astype(np.int64) + 1))
-    return p[np.all((p >= lo - 1e-9) & (p <= hi + 1e-9), axis=1)]
+    z = int_box(np.ceil(np.abs(fr).max(axis=0)).astype(np.int64) + 1)
+    p = matvecs(lattice.matrix, z)
+    inside = np.all((p >= lo) & (p <= hi), axis=1)
+    return z[inside], p[inside]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Basis, LatticeVector, canonical_rows, matvecs, row_dots
+from .core import TOL_SINGULAR, Basis, LatticeVector, canonical_rows, matvecs, row_dots
 from . import reduction
 
 
@@ -84,8 +84,7 @@ class VoronoiCell:
 
     @property
     def halfspaces(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.normals[i], float(self.offsets[i]))
-                for i in range(len(self.offsets))]
+        return [(r, float(c)) for r, c in zip(self.normals, self.offsets)]
 
     def diameter(self) -> float:
         return 2.0 * float(np.linalg.norm(self.vertices, axis=1).max())
@@ -158,7 +157,7 @@ def _relevant_sets(red: reduction.ReducedBasis):
             edges[np.argmax(np.where(cut, conorms, -np.inf))] = True
     connected = inside @ edges >= sets.sum(axis=1) - 1
     sums = sets @ red.superbase.T
-    canonical = sums[np.arange(len(sums)), np.argmax(sums != 0, axis=1)] > 0
+    canonical = np.all(canonical_rows(sums) == sums, axis=1)
     return sums, np.flatnonzero(connected & connected[::-1] & canonical), edges
 
 
@@ -167,7 +166,7 @@ def _vertices(carts: np.ndarray, facets: np.ndarray, edges: np.ndarray):
     ``carts`` and ``-carts``, the superbase subsets ``facets``.  A vertex is
     the lexicographically least ``np.linalg.solve`` solution (ties to the
     first) over the n-subsets of its tight planes, in row order, that LU
-    judges nonsingular: |det| above 1e-10 times the norm product."""
+    judges nonsingular: |det| above TOL_SINGULAR times the norm product."""
     leaves, combos, bits = _TABLES[carts.shape[1]][4:]
     planes = np.concatenate([facets, leaves.shape[1] - 1 - facets])
     normals = np.vstack([carts, -carts])
@@ -179,7 +178,7 @@ def _vertices(carts: np.ndarray, facets: np.ndarray, edges: np.ndarray):
     k = math.comb(len(planes), combos.shape[1])
     v, c = np.divmod(np.flatnonzero((keys[:, None] & bits[:k]) == bits[:k]), k)
     sub = combos[c]
-    ok = np.abs(np.linalg.det(normals[sub])) > 1e-10 * np.prod(nnorm[sub], axis=1)
+    ok = np.abs(np.linalg.det(normals[sub])) > TOL_SINGULAR * np.prod(nnorm[sub], axis=1)
     v, sub = v[ok], sub[ok]
     verts = np.linalg.solve(normals[sub], offsets[sub][..., None])[..., 0]
     order = np.lexsort((*sub.T[::-1], *verts.T[::-1], v))
@@ -231,7 +230,12 @@ def frac_extents(cell: VoronoiCell | _Prepared, frame: Basis) -> np.ndarray:
     cell makes this the half-extent in both directions.  Only
     ``cell.vertices`` is read.
     """
-    return np.abs(cell.vertices @ frame.inv.T).max(axis=0)
+    return _reach(cell.vertices, frame.inv)
+
+
+def _reach(vertices: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """max over ``vertices`` x of |inv x|, per inverse frame of a stack or for one."""
+    return np.abs(vertices @ np.swapaxes(inv, -1, -2)).max(axis=-2)
 
 
 def _facet_measures(verts: np.ndarray, tight: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -508,6 +508,25 @@ def test_verify_over_budget_is_skipped_promptly(capsys):
     assert elapsed < 10.0
 
 
+def test_voronoi_verify_checks_the_volume_before_the_budgeted_oracle(capsys, monkeypatch):
+    """A wrong volume is reported even where the facet oracle is over budget."""
+    from dataclasses import replace
+
+    import minimage.voronoi
+    from conftest import random_cond_basis
+
+    b = random_cond_basis(np.random.default_rng(7), 3, 1e6)
+    argv = ["voronoi", "--lattice", " ".join(repr(float(x)) for x in b.matrix.T.ravel()),
+            "--verify"]
+    assert run(argv) == 1
+    assert "verify: skipped:" in capsys.readouterr().err
+    f = minimage.voronoi.voronoi_cell
+    monkeypatch.setattr(minimage.voronoi, "voronoi_cell",
+                        lambda b: replace(f(b), volume=f(b).volume * 1.001))
+    assert run(argv) == 1
+    assert "verify: MISMATCH: cell volume does not match |det B|" in capsys.readouterr().err
+
+
 # --- typed errors -------------------------------------------------------------
 
 
@@ -560,6 +579,21 @@ def test_determinant_out_of_range_is_a_domain_error(capsys, tmp_path, argv, mess
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["reduce", "voronoi", "dist", "neighbors"])
+def test_elongated_cell_past_exact_rounding_is_a_domain_error(capsys, tmp_path, cmd):
+    """A valid cell whose reduction needs a rounding coefficient past 2**53
+    exits 1; it once ended in an OverflowError traceback."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0 0\n0.5 0.5 0.5\n")
+    extra = {"dist": ["--p1", "0 0 0", "--p2", "0.5 0.5 0.5"],
+             "neighbors": ["--points", str(pts), "--cutoff", "1"]}.get(cmd, [])
+    assert run([cmd, "--cell-params", "1 1.1 1e30 95 95 95", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
 
 

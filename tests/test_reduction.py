@@ -197,3 +197,18 @@ def test_reduce_over_the_conditioning_range(seed, n, level, sheared):
                        rtol=1e-9, atol=0.0)
     m = red.basis.matrix
     assert mi.oracle.brute_reduced(mi.validate_basis(m[:, np.argsort(red.norms)]))
+
+
+@pytest.mark.parametrize("c", [1e20, 1e30, 1e59])
+def test_elongated_cell_past_exact_rounding_is_a_typed_error(c):
+    """A valid basis whose Lagrange-Gauss rounding coefficient reaches 2**53,
+    where a float stops being an exact integer, raises
+    ReductionNonConvergence from every operation that reduces it, not an
+    OverflowError from the integer conversion."""
+    b = mi.cell_params_to_basis(1.0, 1.1, c, 95.0, 95.0, 95.0)
+    ps = mi.PeriodicPointSet(b, [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
+    for op in (mi.reduce, mi.voronoi_cell, mi.relevant_vectors,
+               lambda b: mi.min_image_distance(b, [0.1, 0.2, 0.3], [0.5, 0.5, 0.5]),
+               lambda b: mi.neighbor_arrays(ps, 1.0)):
+        with pytest.raises(mi.ReductionNonConvergence, match="2\\*\\*53"):
+            op(b)

@@ -35,14 +35,16 @@ def test_render_rejects_3d(tmp_path, identity3):
 
 
 def loop_lattice_points(lattice, lo, hi):
-    """Test-only copy of the per-point loop the array pass replaced."""
+    """Test-only copy of the per-point loop the array pass replaced, with
+    the window taken as given (no slack): (coefficients, points)."""
     corners = np.array(list(itertools.product(*zip(lo, hi))))
     fr = corners @ lattice.inv.T
     zmin = np.floor(fr.min(axis=0)).astype(int) - 1
     zmax = np.ceil(fr.max(axis=0)).astype(int) + 1
-    out = [lattice.matrix @ np.asarray(ij, dtype=float)
+    out = [(ij, lattice.matrix @ np.asarray(ij, dtype=float))
            for ij in itertools.product(*[range(a, b + 1) for a, b in zip(zmin, zmax)])]
-    return np.array([p for p in out if np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)])
+    kept = [(ij, p) for ij, p in out if np.all(p >= lo) and np.all(p <= hi)]
+    return [ij for ij, _ in kept], np.array([p for _, p in kept])
 
 
 def test_lattice_points_match_the_loop_bit_for_bit():
@@ -51,6 +53,19 @@ def test_lattice_points_match_the_loop_bit_for_bit():
         b = mi.validate_basis(rng.normal(size=(2, 2)))
         c = rng.normal(size=2) * (3.0 if k % 2 else 0.5)
         lo, hi = c - 4.0 * rng.random(2), c + 4.0 * rng.random(2)
-        want = loop_lattice_points(b, lo, hi).reshape(-1, 2)
-        got = _lattice_points(b, lo, hi)
+        want_z, want = loop_lattice_points(b, lo, hi)
+        want = want.reshape(-1, 2)
+        got_z, got = _lattice_points(b, lo, hi)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_z.tolist() == [list(ij) for ij in want_z]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_render_marks_the_relevant_points_at_small_scales(tmp_path, hexagonal2, scale):
+    """The hexagonal figure draws 20 lattice points and circles the 6
+    relevant ones at any scale; an absolute window slack and rounding to 9
+    decimals once drew 99 and circled 87 at scale 1e-10."""
+    lattice = mi.validate_basis(hexagonal2.matrix * scale)
+    text = mi.render_2d(lattice, None, tmp_path / "hex.svg").read_text()
+    assert text.count('r="3"') == 20
+    assert text.count('r="7"') == 6

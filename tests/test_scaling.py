@@ -10,7 +10,9 @@ break this.  k ranges over +-(SCALE_EXP - 10): ``validate_basis`` accepts
 columns whose largest |entry| lies in [2^-(SCALE_EXP + 1), 2^SCALE_EXP),
 and the scale of the test bases is about 1, so that is the whole window
 less a margin for their spread.  Both sides of the window's edges are
-tested on a unit basis.
+tested on a unit basis.  The same holds for the two outputs outside the
+public operations: the bytes of a ``render_2d`` figure, and the decision
+of the oracle's block check.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import minimage as mi
 from minimage.core import SCALE_EXP
 
 from conftest import FCC, HEX_2D, random_cond_basis, skewed_basis
+
+# A sheared square cell of the unit square lattice that needs layers (3, 1).
+SHEARED = np.array([[1.0, -5.0], [0.0, 1.0]])
 
 BASES_PER_CASE = 10
 
@@ -113,3 +118,35 @@ def test_scale_window_edges(n):
     m[:, -1] = scaled(m[:, -1], SCALE_EXP)
     with pytest.raises(mi.DeterminantOutOfRange, match=f"column {n} "):
         mi.validate_basis(m)
+
+
+@pytest.mark.parametrize("k", [-190, -100, -40, -30, 60, 190])
+def test_render_bytes_are_the_same_at_every_scale(tmp_path, k):
+    """The figure is drawn in viewport units, so scaling the lattice and the
+    cell by 2^k changes no byte; the lattice points drawn and circled are
+    decided by window bounds and integer coefficients, not by absolute
+    tolerances."""
+    rng = np.random.default_rng(k % 1000)
+    cases = [(HEX_2D, None), (np.eye(2), SHEARED),
+             (random_cond_basis(rng, 2, 30.0).matrix, None)]
+    for i, (lattice, cell) in enumerate(cases):
+        figures = []
+        for kk in (0, k):
+            out = tmp_path / f"{i}-{kk}.svg"
+            mi.render_2d(mi.validate_basis(scaled(lattice, kk)),
+                         None if cell is None else mi.validate_basis(scaled(cell, kk)), out)
+            figures.append(out.read_bytes())
+        assert figures[0] == figures[1], (i, k)
+
+
+@pytest.mark.parametrize("k", [-190, -100, -40, -20, 0, 40, 190])
+def test_block_check_decides_the_same_at_every_scale(k):
+    """The block check's threshold is relative, so one layer too few on the
+    sheared cell is caught with the same pair at every scale, and the
+    sufficient block passes."""
+    cell = mi.validate_basis(scaled(SHEARED, k))
+    assert mi.copy_counts(cell, mi.validate_basis(scaled(np.eye(2), k))).layers == (3, 1)
+    want = mi.oracle.block_counterexample(mi.validate_basis(SHEARED), (2, 1))
+    assert want is not None
+    assert mi.oracle.block_counterexample(cell, (2, 1)) == want
+    assert mi.oracle.block_counterexample(cell, (3, 1)) is None

@@ -3,9 +3,12 @@
 Every public operation reduces the basis once and builds the Voronoi
 vertices at most once, through ``voronoi._prepare``, and validates no
 basis: inputs arrive validated, and the bases derived from them are built
-directly.  The stage counts are checked with counting wrappers around
-``reduction.reduce``, ``voronoi._vertices`` (the vertex build from the
-obtuse superbase) and ``validate_basis`` wherever the package binds it.
+directly.  The inverse of the reduction transform is computed once, by
+``reduce``, and read from the ``ReducedBasis`` after that.  The stage
+counts are checked with counting wrappers around ``reduction.reduce``,
+``voronoi._vertices`` (the vertex build from the obtuse superbase), and
+``validate_basis`` and ``unimodular_inverse`` wherever the package binds
+them.
 ``frozen_outputs.json`` holds outputs of the code as it was before the
 stages were shared, when ``min_image_distance`` reduced every basis twice
 and ``check_cell`` five times; integer results and distance bits must
@@ -65,10 +68,11 @@ def stage_calls(monkeypatch):
 
     monkeypatch.setattr(reduction, "reduce", counting("reduce", reduction.reduce))
     monkeypatch.setattr(voronoi, "_vertices", counting("vertices", voronoi._vertices))
-    validate = mi.validate_basis
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "minimage" and getattr(module, "validate_basis", None) is validate:
-            monkeypatch.setattr(module, "validate_basis", counting("validate", validate))
+    for attr, fn, key in (("validate_basis", mi.validate_basis, "validate"),
+                          ("unimodular_inverse", mi.core.unimodular_inverse, "inverse")):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "minimage" and getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, counting(key, fn))
     return calls
 
 
@@ -97,14 +101,14 @@ def test_one_reduction_and_at_most_one_vertex_build(stage_calls, name, cond, n):
     op, builds = OPERATIONS[name]
     stage_calls.clear()
     op(b)
-    assert stage_calls == Counter(reduce=1, vertices=builds, validate=0)
+    assert stage_calls == Counter(reduce=1, vertices=builds, validate=0, inverse=1)
 
 
 def test_render_reduces_once(stage_calls, tmp_path):
     b = random_cond_basis(np.random.default_rng(7), 2, 1e2)
     stage_calls.clear()
     render.render_2d(b, None, tmp_path / "cell.svg")
-    assert stage_calls == Counter(reduce=1, vertices=1, validate=0)
+    assert stage_calls == Counter(reduce=1, vertices=1, validate=0, inverse=1)
 
 
 def test_check_cell_counts_equal_copy_counts():
