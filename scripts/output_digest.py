@@ -20,11 +20,15 @@ The corpus has 1,501 bases, built from ``--seed``:
 - one reduced lattice whose reach extent exceeds 1 on one axis.
 
 ``--shrink K`` builds every group with 1/K of its bases (rounded up).
+``--only OP[,OP...]`` computes only the named operations.  It draws the
+same random numbers as the full run, so each digest it prints equals the
+full run's wherever no basis raises a domain error.
 
-Usage: python scripts/output_digest.py [--seed 0] [--shrink 1]
+Usage: python scripts/output_digest.py [--seed 0] [--shrink 1] [--only OP[,OP...]]
 """
 
 import argparse
+import functools
 import hashlib
 import math
 
@@ -119,55 +123,83 @@ def ints(a) -> str:
 
 
 def records(m: np.ndarray, rng):
-    """(operation, text) for every public operation on the basis ``m``."""
+    """(operation, text) for every public operation on the basis ``m``, the
+    text as a thunk.  Every random number is drawn in order whether or not
+    a thunk runs, so any subset of the thunks gives the full run's texts."""
     b = mi.validate_basis(m)
     n = b.dim
-    red = mi.reduce(b)
-    yield "reduce", floats(red.basis.matrix) + ints(red.transform)
-    yield "is_reduced", str(mi.is_reduced(red.basis))
-    rel = mi.relevant_vectors(b)
-    yield "relevant_vectors", ints([v.coeffs for v in rel.vectors]) + floats(rel.cartesians)
-    cell = mi.voronoi_cell(b)
-    yield "voronoi_cell", floats(cell.normals) + floats(cell.offsets) + floats(cell.vertices) \
-        + float(cell.volume).hex()
-    yield "frac_extents", floats(mi.frac_extents(cell, b))
-    yield "domain_extents", floats(mi.domain_extents(red.basis, b))
-    counts = mi.copy_counts(b, b)
-    yield "copy_counts", ints(counts.layers) + floats(counts.h)
-    domains = mi.enumerate_ps(b)
-    yield "enumerate_ps", ";".join(ints(d.coeffs) + floats(d.basis.matrix) for d in domains)
-    checks = []
-    for c in [b, red.basis] + [d.basis for d in domains[:2]]:
-        r = mi.check_cell(c, b)
-        checks.append(f"{r.sufficient}{r.ps_member}{r.cell_reduced}{r.coeffs_key}"
-                      f"{r.counts.layers}")
-    yield "check_cell", ";".join(checks)
-    dists = [mi.min_image_distance(b, rng.random(n), rng.random(n))
-             for _ in range(PAIRS_PER_BASIS)]
-    yield "min_image_distance", ";".join(f"{d.distance.hex()}{d.image.coeffs}" for d in dists)
+    red = functools.cache(lambda: mi.reduce(b))
+    cell = functools.cache(lambda: mi.voronoi_cell(b))
+    domains = functools.cache(lambda: mi.enumerate_ps(b))
+    yield "reduce", lambda: floats(red().basis.matrix) + ints(red().transform)
+    yield "is_reduced", lambda: str(mi.is_reduced(red().basis))
+
+    def relevant():
+        rel = mi.relevant_vectors(b)
+        return ints([v.coeffs for v in rel.vectors]) + floats(rel.cartesians)
+
+    yield "relevant_vectors", relevant
+    yield "voronoi_cell", lambda: (floats(cell().normals) + floats(cell().offsets)
+                                   + floats(cell().vertices) + float(cell().volume).hex())
+    yield "frac_extents", lambda: floats(mi.frac_extents(cell(), b))
+    yield "domain_extents", lambda: floats(mi.domain_extents(red().basis, b))
+
+    def copy_counts():
+        counts = mi.copy_counts(b, b)
+        return ints(counts.layers) + floats(counts.h)
+
+    yield "copy_counts", copy_counts
+    yield "enumerate_ps", lambda: ";".join(ints(d.coeffs) + floats(d.basis.matrix)
+                                           for d in domains())
+
+    def check_cell():
+        checks = []
+        for c in [b, red().basis] + [d.basis for d in domains()[:2]]:
+            r = mi.check_cell(c, b)
+            checks.append(f"{r.sufficient}{r.ps_member}{r.cell_reduced}{r.coeffs_key}"
+                          f"{r.counts.layers}")
+        return ";".join(checks)
+
+    yield "check_cell", check_cell
+    pairs = [(rng.random(n), rng.random(n)) for _ in range(PAIRS_PER_BASIS)]
+
+    def distances():
+        dists = [mi.min_image_distance(b, p1, p2) for p1, p2 in pairs]
+        return ";".join(f"{d.distance.hex()}{d.image.coeffs}" for d in dists)
+
+    yield "min_image_distance", distances
     points = mi.PeriodicPointSet(b, rng.random((MATRIX_POINTS, n)))
-    yield "pairwise_distances", floats(mi.pairwise_distances(points))
+    yield "pairwise_distances", lambda: floats(mi.pairwise_distances(points))
     for cutoff in CUTOFFS:
-        hits = mi.neighbors_within(points, cutoff * abs(b.det) ** (1.0 / n))
-        yield f"neighbors_within@{cutoff:g}", ";".join(f"{h!r}" for h in hits)
+        yield f"neighbors_within@{cutoff:g}", lambda cutoff=cutoff: ";".join(
+            f"{h!r}" for h in mi.neighbors_within(points, cutoff * abs(b.det) ** (1.0 / n)))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shrink", type=int, default=1)
+    parser.add_argument("--only", metavar="OP[,OP...]",
+                        help="digest only these operations, e.g. min_image_distance")
     args = parser.parse_args()
     if args.shrink < 1:
         parser.error("--shrink must be at least 1")
 
     bases = corpus(args.seed, args.shrink)
+    only = None if args.only is None else set(args.only.split(","))
+    if only is not None:
+        # Listing the names runs no thunk.
+        unknown = only - {op for op, _ in records(bases[0], np.random.default_rng(0))}
+        if unknown:
+            parser.error(f"--only: unknown operation(s) {', '.join(sorted(unknown))}")
     digests = {}
     errors = 0
     for k, m in enumerate(bases):
         rng = np.random.default_rng([args.seed, k])
         try:
             for op, text in records(m, rng):
-                digests.setdefault(op, hashlib.sha256()).update(f"{k}:{text}\n".encode())
+                if only is None or op in only:
+                    digests.setdefault(op, hashlib.sha256()).update(f"{k}:{text()}\n".encode())
         except mi.LatticeError as exc:
             errors += 1
             digests.setdefault("errors", hashlib.sha256()).update(

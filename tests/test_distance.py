@@ -1,16 +1,19 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import minimage as mi
 
-from conftest import (FCC, HEX_2D, REDUCED_BUT_H_ABOVE_1, SKEW_2D, random_cond_basis,
-                      random_unimodular, skewed_basis)
+import type_sweep
+from conftest import (FCC, HEX_2D, NO_OBTUSE_SHORTEST_3D, REDUCED_BUT_H_ABOVE_1, SKEW_2D,
+                      random_cond_basis, random_obtuse_2d, random_obtuse_3d, random_unimodular,
+                      skewed_basis)
 from test_shared_build import equivalence_bases
-from minimage import distance
-from minimage.core import LatticeVector, unimodular_inverse, wrap_frac
+from minimage import cli, distance
+from minimage.core import LatticeVector, int_box, unimodular_inverse, wrap_frac
 
 
 def test_wraparound_distance(identity2):
@@ -563,3 +566,173 @@ def test_min_image_distance_below_the_floor_bound(identity2):
     res = mi.min_image_distance(identity2, [1e15 + 0.25, 0.0], [0.0, 0.0])
     assert res.distance == 0.25
     assert res.image.coeffs == (10 ** 15, 0)
+
+
+# --- the superbase descent against the block kernel ----------------------------
+
+
+def block_scan(red, t, p1, p2):
+    """Squared distances and caller-frame images over the block t of
+    reduced-frame images, as min_image_distance computed them before the
+    descent."""
+    w1, d1 = distance._split_cells(red.inverse @ np.asarray(p1, dtype=float))
+    w2, d2 = distance._split_cells(red.inverse @ np.asarray(p2, dtype=float))
+    cart = ((d2 - d1)[None, :] + t) @ red.basis.matrix.T
+    return np.einsum("ij,ij->i", cart, cart), (t + (w1 - w2)[None, :]) @ red.transform.T
+
+
+def block_min_image(red, t, p1, p2):
+    """min_image_distance as it was before the descent: the whole block t,
+    the same expression and the same tie rule."""
+    dd, images = block_scan(red, t, p1, p2)
+    k, img = distance._pick_image(dd, images)
+    return math.sqrt(dd[k]).hex(), img
+
+
+def random_pairs(seed, n, count):
+    rng = np.random.default_rng(seed)
+    return [(rng.random(n), rng.random(n)) for _ in range(count)]
+
+
+def assert_same_as_block(b, t, queries):
+    """min_image_distance gives the block kernel's distance bits and image on
+    every query; t is the block, or the search block of b when None."""
+    red, block = distance._reduced_search_block(b) if t is None else (mi.reduce(b), t)
+    for p1, p2 in queries:
+        got = mi.min_image_distance(b, p1, p2)
+        assert (got.distance.hex(), got.image.coeffs) == block_min_image(red, block, p1, p2), \
+            (p1, p2)
+
+
+def voronoi_types():
+    """Every 2D and 3D Voronoi type of the type sweep, an obtuse tie-free
+    lattice per dimension, and a lattice with no all-obtuse shortest basis."""
+    rng = np.random.default_rng(54)
+    types = dict(type_sweep.TYPES, **{"obtuse-2d": random_obtuse_2d(rng).matrix,
+                                      "obtuse-3d": random_obtuse_3d(rng).matrix,
+                                      "no-obtuse-shortest": NO_OBTUSE_SHORTEST_3D})
+    return [pytest.param(m, id=name) for name, m in types.items()]
+
+
+@pytest.mark.parametrize("m", voronoi_types())
+def test_vertex_queries_tie_as_the_block_does(m):
+    # p2 - p1 on a Voronoi vertex, where n + 1 or more images tie.  Where
+    # the vertices have dyadic coordinates in the frame of m (square, cube,
+    # FCC, BCC, BCT), they are rounded to them and the queries, mapped by
+    # the integer inverse of U, are exact; elsewhere they lie within
+    # rounding of the vertex, inside the tie window.
+    n = len(m)
+    verts = np.linalg.solve(m, mi.voronoi_cell(mi.validate_basis(m)).vertices.T).T
+    dyadic = np.round(8 * verts) / 8
+    if np.allclose(verts, dyadic, rtol=0, atol=1e-12):
+        verts = dyadic
+    rng = np.random.default_rng(55)
+    for _ in range(40):
+        u = random_unimodular(rng, n)
+        b = mi.validate_basis(m @ u)
+        f = verts @ unimodular_inverse(u).T
+        zero = np.zeros(n)
+        assert_same_as_block(b, None, [(zero, v) for v in f] + [(v, zero) for v in f])
+
+
+def reference_bases():
+    rng = np.random.default_rng(56)
+    cases = [(f"{n}d-cond1e{k}-{i}", random_cond_basis(rng, n, 10.0 ** k))
+             for n in (2, 3) for k in range(7) for i in range(3)]
+    for p in voronoi_types():
+        m = p.values[0]
+        cases += [(f"{p.id}-{i}", mi.validate_basis(m @ random_unimodular(rng, len(m))))
+                  for i in range(2)]
+    cases += [("skewed-fcc-1e3", skewed_basis(rng, FCC, 1e3)),
+              ("skewed-hexagonal-1e3", skewed_basis(rng, HEX_2D, 1e3))]
+    return [pytest.param(b, id=name) for name, b in cases]
+
+
+@pytest.mark.parametrize("b", reference_bases())
+def test_descent_matches_the_block_kernel(b):
+    assert_same_as_block(b, None, random_pairs(57, b.dim, 40))
+
+
+def test_descent_matches_the_block_on_the_reduced_cell_needing_two_layers():
+    # The criterion-6 witness: this reduced cell's block is 5 x 3 x 3, and
+    # the pair below is one the 3^3 block gets wrong.
+    b = mi.reduce(mi.validate_basis(REDUCED_BUT_H_ABOVE_1)).basis
+    assert distance._reduced_search_block(b)[1].shape == (45, 3)
+    p1, p2, gap = mi.oracle.minimality_witness(b, b, 0)
+    assert gap > 1e-9
+    assert_same_as_block(b, None, [(p1, p2), (p2, p1)] + random_pairs(58, 3, 200))
+
+
+def test_descent_steps_stay_under_the_cap(monkeypatch):
+    # Random pairs, and pairs whose reduced fractional difference is near a
+    # corner of (-1, 1)^n, the farthest start, over cond 1 to 1e6.  A
+    # query's step count is the least cap at which it does not raise.
+    rng = np.random.default_rng(59)
+    cap = distance._MAX_DESCENT
+
+    def steps(b, p1, p2):
+        for k in range(cap + 1):
+            monkeypatch.setattr(distance, "_MAX_DESCENT", k)
+            try:
+                mi.min_image_distance(b, p1, p2)
+                return k
+            except mi.ReductionNonConvergence:
+                pass
+        raise AssertionError("the descent did not converge within the cap")
+
+    most = Counter()
+    for n in (2, 3):
+        for k in range(7):
+            for _ in range(10):
+                b = random_cond_basis(rng, n, 10.0 ** k)
+                u = mi.reduce(b).transform
+                s = rng.choice([1e-9, 1 - 1e-9], n)
+                queries = [(rng.random(n), rng.random(n)) for _ in range(4)]
+                for p1, p2 in queries + [(u @ s, u @ (1 - s))]:
+                    most[n] = max(most[n], steps(b, p1, p2))
+    # 2 steps in 2D and 3 in 3D when this test was written, against a cap of 32.
+    assert max(most.values()) < cap
+    assert most == Counter({2: 2, 3: 3})
+
+
+def test_descent_past_the_cap_is_a_domain_error(monkeypatch, capsys):
+    b = mi.validate_basis(np.eye(2))
+    # The reduced difference (0.8, 0.8) needs one step, to the image (-1, -1).
+    assert mi.min_image_distance(b, [0.0, 0.0], [0.8, 0.8]).image.coeffs == (-1, -1)
+    monkeypatch.setattr(distance, "_MAX_DESCENT", 0)
+    with pytest.raises(mi.ReductionNonConvergence, match="descent"):
+        mi.min_image_distance(b, [0.0, 0.0], [0.8, 0.8])
+    assert cli.run(["dist", "--lattice", "identity2", "--p1", "0 0", "--p2", "0.8 0.8"]) == 1
+    assert "descent did not converge in 0 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8, 1e9, 1e10])
+def test_elongated_cells_match_a_four_layer_block(c):
+    # From c = 1e8 the snapped conorms make this cell's vertices, and so
+    # its search block, wrong (CHANGES.md); the descent reads neither.  So
+    # long a cell puts dozens of in-plane images within the tie window of
+    # the minimum, and the scan and the block each report the least of
+    # those they hold.  So the image must be one of the 4-layer block's
+    # tied images, at the block's bits, and no farther than its pick.
+    b = mi.cell_params_to_basis(1, 1.1, c, 90, 90, 95)
+    red = mi.reduce(b)
+    t = int_box((4, 4, 4))
+    for p1, p2 in random_pairs(60, 3, 200):
+        got = mi.min_image_distance(b, p1, p2)
+        dd, images = block_scan(red, t, p1, p2)
+        row = np.flatnonzero(np.all(images == got.image.coeffs, axis=1))
+        assert len(row) == 1 and math.sqrt(dd[row[0]]) == got.distance
+        assert dd[row[0]] <= dd.min() * (1 + 2 * distance.TIE_REL)
+        assert dd[row[0]] <= dd[distance._pick_image(dd, images)[0]]
+
+
+@pytest.mark.parametrize("seed", [7, 20, 53, 69, 99, 156, 183])
+def test_thin_cuboids_match_a_four_layer_block(seed):
+    # 1 x 1 x 3e-5 cuboids at cond 1e7 to 8e7; on seeds 53, 69, 156 and
+    # 183 the snap reads a zero conorm as an edge and relevant_vectors
+    # reports 8 or 12 vectors instead of 6.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    b = mi.validate_basis(q @ np.diag([1.0, 1.0, 3e-5]) @ random_unimodular(rng, 3))
+    assert 1e7 <= np.linalg.cond(b.matrix) <= 1e8
+    assert_same_as_block(b, int_box((4, 4, 4)), random_pairs(61, 3, 200))

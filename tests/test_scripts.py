@@ -29,6 +29,13 @@ SHRINK_100_DIGESTS = {
 }
 
 
+def run_script(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("script, args", [
     ("copy_count_sweep.py", ["--max-shear", "2"]),
     ("domain_census.py", ["--samples", "5"]),
@@ -37,11 +44,7 @@ SHRINK_100_DIGESTS = {
     ("type_sweep.py", ["--per-case", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    argv = [str(tmp_path) if a is None else a for a in args]
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_script(script, *[str(tmp_path) if a is None else a for a in args])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     if script == "render_gallery.py":
@@ -56,3 +59,11 @@ def test_script_runs(tmp_path, script, args):
         assert dict(line.split() for line in digests) == SHRINK_100_DIGESTS
     if script == "type_sweep.py":
         assert proc.stdout.splitlines()[-1] == "0 of 49 draws not ok"
+
+
+def test_output_digest_only_prints_the_full_runs_digest():
+    proc = run_script("output_digest.py", "--shrink", "100", "--only", "min_image_distance")
+    assert proc.returncode == 0, proc.stderr
+    head, *digests = proc.stdout.splitlines()
+    assert head.startswith("18 bases, seed 0")
+    assert digests == [f"{'min_image_distance':20s} {SHRINK_100_DIGESTS['min_image_distance']}"]

@@ -1,8 +1,9 @@
 """Each lattice fact is computed once per public call, in one array pass.
 
 Every public operation reduces the basis once and builds the Voronoi
-vertices at most once, through ``voronoi._prepare``, and validates no
-basis: inputs arrive validated, and the bases derived from them are built
+vertices at most once, through ``voronoi._prepare``
+(``min_image_distance`` and the neighbor lists build none), and validates
+no basis: inputs arrive validated, and the bases derived from them are built
 directly.  The inverse of the reduction transform is computed once, by
 ``reduce``, and read from the ``ReducedBasis`` after that.  The stage
 counts are checked with counting wrappers around ``reduction.reduce``,
@@ -78,7 +79,7 @@ def stage_calls(monkeypatch):
 
 OPERATIONS = {
     "min_image_distance": (lambda b: distance.min_image_distance(b, [0.1] * b.dim,
-                                                                 [0.7] * b.dim), 1),
+                                                                 [0.7] * b.dim), 0),
     "pairwise_distances": (lambda b: distance.pairwise_distances(
         distance.PeriodicPointSet(b, np.linspace(0.0, 0.9, 4 * b.dim).reshape(4, b.dim))), 1),
     "neighbors_within": (lambda b: distance.neighbors_within(
