@@ -31,9 +31,14 @@ class UsageError(Exception):
     pass
 
 
+# Every printed distance has 12 significant digits; a JSON number is that
+# decimal read back as a float.
+_SIG12 = "%.12g"
+
+
 def _sig12(x: float) -> float:
     """Round to 12 significant digits for printing."""
-    return float(f"{float(x):.12g}")
+    return float(_SIG12 % x)
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -117,6 +122,8 @@ def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
         data = {"frac": [line.split() for line in text.splitlines() if line.strip()]}
     if not isinstance(data, dict) or "frac" not in data:
         raise UsageError(f"{path} must contain a 'frac' key")
+    if not isinstance(data.get("labels"), (list, type(None))):
+        raise UsageError(f"'labels' in {path} must be a list or null")
     try:
         pts = np.array(data["frac"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -262,12 +269,14 @@ def _dist(a):
 def _matrix(a):
     ps = a.points
     mat = pairwise_distances(ps)
+    fmt = ",".join([_SIG12] * mat.shape[1])  # one format call per row
+    rows = [fmt % tuple(row) for row in mat.tolist()]
     if a.format == "csv":
-        out = "\n".join(",".join(f"{v:.12g}" for v in row) for row in mat)
+        out = "\n".join(rows)
     else:
         out = {
             "labels": list(ps.labels) if ps.labels else None,
-            "distances": [[_sig12(v) for v in row] for row in mat],
+            "distances": [list(map(float, row.split(","))) for row in rows],
         }
     return out, lambda: _check_distances(ps.basis, ps.points, [
         (i, j, mat[i, j]) for i in range(len(ps)) for j in range(i + 1, len(ps))])
@@ -283,7 +292,7 @@ def _neighbors(a):
     if a.format == "csv":
         coords = ",".join(f"t{k+1}" for k in range(b.dim))
         out = "\n".join([f"i,j,{coords},distance"] + [
-            f"{i},{j}," + ",".join(map(str, img)) + f",{d:.12g}" for i, j, img, d in hits])
+            f"{i},{j}," + ",".join(map(str, img)) + "," + _SIG12 % d for i, j, img, d in hits])
     else:
         out = {
             "cutoff": _sig12(a.cutoff),
@@ -301,7 +310,11 @@ def _neighbors(a):
 
 
 def _render(a):
-    return {"out": str(render.render_2d(a.lattice, a.cell, a.out))}, None
+    try:
+        path = render.render_2d(a.lattice, a.cell, a.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {a.out}: {exc}") from None
+    return {"out": str(path)}, None
 
 
 # The options of each input, in --help order.
@@ -339,6 +352,13 @@ COMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, inputs: str) -> argparse.ArgumentParser:
+    for key in inputs.split():
+        for flag, kwargs in _OPTIONS[key.rstrip("?")]:
+            parser.add_argument(flag, **kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minimage",
@@ -347,11 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, inputs, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for key in inputs.split():
-            for flag, kwargs in _OPTIONS[key.rstrip("?")]:
-                p.add_argument(flag, **kwargs)
+        _add_options(sub.add_parser(name, help=help_text), inputs)
     return parser
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command named by ``argv`` and its arguments.
+
+    When ``argv[0]`` names a command, only that command's parser is built:
+    the same parser ``build_parser`` makes for it, so help, usage and errors
+    read the same.  Left-over arguments are reported by the full parser, as
+    argparse reports them from the top level.  Any other ``argv`` (no
+    arguments, an unknown command, a top-level option) goes to the full
+    parser."""
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        args = build_parser().parse_args(argv)
+        return args.command, args
+    parser = _add_options(argparse.ArgumentParser(prog=f"minimage {name}"), COMMANDS[name][1])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return name, args
 
 
 def _resolve(args, inputs):
@@ -387,12 +424,11 @@ def _report(verifier) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        name, args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    _, inputs, handler = COMMANDS[args.command]
+    _, inputs, handler = COMMANDS[name]
     try:
         out, verifier = handler(_resolve(args, inputs))
         _print(out)

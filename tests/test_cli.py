@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from minimage import cli
 from minimage.cli import run
+from minimage.errors import LatticeError
 
 from conftest import NO_OBTUSE_SHORTEST_3D
 
@@ -153,6 +156,17 @@ def test_render_writes_svg(capsys, tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert "<polygon" in text and "<circle" in text
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_render_to_an_unwritable_path_is_usage_error(capsys, tmp_path, where):
+    out = {"missing-directory": tmp_path / "none" / "x.svg", "a-directory": tmp_path}[where]
+    code = run(["render", "--lattice", "identity2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_render_rejects_3d(capsys, tmp_path):
@@ -544,6 +558,25 @@ def test_points_file_with_wrong_label_count_is_usage_error(capsys, tmp_path):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["abc", {"a": 1, "b": 2, "c": 3}, 3],
+                         ids=["string", "object", "number"])
+def test_points_file_labels_must_be_a_list(capsys, tmp_path, labels):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5], [0.7, 0.1]],
+                               "labels": labels}))
+    assert run(["matrix", "--lattice", "identity2", "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: 'labels' in {pts} must be a list or null\n"
+
+
+def test_points_file_labels_may_be_null(capsys, tmp_path):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": None}))
+    data = run_json(capsys, ["matrix", "--lattice", "identity2", "--points", str(pts)])
+    assert data["labels"] is None
+
+
 def test_envelope_edge_is_a_domain_error(capsys):
     from test_core import unit_covolume_basis
 
@@ -621,3 +654,141 @@ def test_huge_coordinates_are_usage_errors(capsys, p1):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "2**53" in captured.err
+
+
+# --- parsing: a command builds only its own parser ---------------------------
+
+HEX = "1 0 -0.5 0.8660254037844386"
+
+
+def full_parser_run(argv):
+    """``run`` as it was when every argv went through ``build_parser()``;
+    the reference the per-command parser must match byte for byte."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    _, inputs, handler = cli.COMMANDS[args.command]
+    try:
+        out, verifier = handler(cli._resolve(args, inputs))
+        cli._print(out)
+        return cli._report(verifier) if getattr(args, "verify", False) else 0
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except LatticeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+VALID = [
+    ["reduce", "--lattice", "identity2", "--verify"],
+    ["relevant", "--lattice", HEX],
+    ["voronoi", "--cell-params", "2 3 4 80 95 100"],
+    ["copies", "--cell", SKEW, "--lattice", "identity2", "--verify"],
+    ["cells", "--lattice", HEX],
+    ["check-cell", "--cell", SKEW, "--lattice", "identity2"],
+    ["dist", "--lattice", "identity2", "--p1", "0.1 0.1", "--p2", "0.9 0.1"],
+    ["matrix", "--lattice", SKEW, "--points", "pts.txt", "--format", "csv"],
+    ["neighbors", "--lattice", "identity2", "--points", "pts.txt", "--cutoff", "0.8"],
+    ["render", "--lattice", "identity2", "--cell", SKEW, "--out", "fig.svg"],
+]
+
+# Every argv that starts with a command name, argparse's own exits included.
+KNOWN_COMMAND = [
+    *VALID,
+    *[[cmd, "--help"] for cmd in cli.COMMANDS],
+    ["dist", "--lattice", "identity2", "--p1", "0 0"],
+    ["copies", "--lattice", "identity2"],
+    ["matrix", "--lattice", "identity2", "--points", "pts.txt", "--format", "xml"],
+    ["neighbors", "--lattice", "identity2", "--points", "pts.txt", "--cutoff", "x"],
+    ["reduce", "--lat", "identity2"],
+    ["reduce", "--lattice=identity2", "-h"],
+    ["reduce", "extra", "--help"],
+    ["reduce", "--lattice", "1 2 3"],
+]
+
+# Every argv the full parser reads: its only parse, or the report of
+# arguments the command's parser left over.
+FULL_PARSER = [
+    [],
+    ["no-such-command"],
+    ["Reduce", "--lattice", "identity2"],
+    ["--help"],
+    ["-h"],
+    ["--help", "dist"],
+    ["--", "reduce", "--lattice", "identity2"],
+    ["reduce", "--lattice", "identity2", "extra"],
+    ["dist", "dist", "--lattice", "identity2", "--p1", "0 0", "--p2", "0.5 0"],
+    ["reduce", "--lattice", "identity2", "--bogus", "1", "more"],
+    ["reduce", "--lattice", "identity2", "--", "x"],
+]
+
+
+@pytest.fixture
+def cli_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "pts.txt").write_text("0.1 0.1\n0.7 0.3\n0.45 0.9\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", KNOWN_COMMAND + FULL_PARSER, ids=" ".join)
+def test_per_command_parser_matches_the_full_parser(capsys, cli_dir, argv):
+    want = (full_parser_run(list(argv)), capsys.readouterr())
+    got = (run(list(argv)), capsys.readouterr())
+    assert got == want
+
+
+def test_a_known_command_never_builds_the_full_parser(capsys, cli_dir, monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or full())
+    for argv in KNOWN_COMMAND:
+        run(list(argv))
+        assert built == [], argv
+    for argv in FULL_PARSER:
+        run(list(argv))
+        assert built == [1], argv
+        built.clear()
+    capsys.readouterr()
+
+
+# --- number tables: 12 significant digits, one format call per row ---------
+
+def _edge_values():
+    below = lambda x: np.nextafter(x, 0.0)  # noqa: E731
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e12, below(1e12), 999999999999.5,
+             999999999999.4, 1e-5, below(1e-5), 9.9999999999995e-6, 1e-4, below(1e-4),
+             1e16, below(1e16), np.inf, -np.inf, np.nan, -np.nan]
+    return np.array(edges + [-x for x in edges])
+
+
+def test_table_rows_print_twelve_significant_digits(monkeypatch):
+    """The row formatter against the per-value rule on a million seeded
+    float64 bit patterns (NaN and inf among them) and the values where the
+    notation or the rounding switches."""
+    rng = np.random.default_rng(18)
+    width = 1000
+    edges = _edge_values()
+    bits = np.frombuffer(rng.bytes(8 * (width * 1001 - len(edges))), dtype=np.float64)
+    mat = np.concatenate([edges, bits]).reshape(-1, width)
+    assert mat.size - len(edges) >= 10**6
+
+    def matrix(fmt, table=mat):
+        monkeypatch.setattr(cli, "pairwise_distances", lambda ps: table)
+        return cli._matrix(SimpleNamespace(points=SimpleNamespace(labels=None), format=fmt))[0]
+
+    def first_difference(got, want):  # keeps a failure's report short
+        return next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                    None if len(got) == len(want) else "lengths differ")
+
+    rows = mat.tolist()
+    assert first_difference(matrix("csv").split("\n"),
+                            [",".join(f"{v:.12g}" for v in row) for row in rows]) is None
+    assert first_difference([json.dumps(row) for row in matrix("json")["distances"]],
+                            [json.dumps([float(f"{v:.12g}") for v in row])
+                             for row in rows]) is None
+    assert matrix("csv", edges.reshape(-1, 1)).split("\n") == [f"{v:.12g}" for v in edges]
+    assert json.dumps([cli._sig12(v) for v in edges]) == json.dumps(
+        [float(f"{v:.12g}") for v in edges.tolist()])

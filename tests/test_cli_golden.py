@@ -91,6 +91,13 @@ CASES = [
     ["matrix", "--lattice", "identity2", "--points", "bad.json"],
     ["neighbors", "--lattice", "identity2", "--points", "pts2.txt", "--cutoff", "-1"],
     ["copies", "--lattice", "identity2"],
+    # Number tables on both sides of the notation switch: %.12g writes an
+    # exponent from 1e12 up, repr (which JSON uses) only from 1e16 up; both
+    # write one below 1e-4.
+    *[[cmd, "--lattice", lat, "--points", "pts2.txt", *cut, "--format", fmt]
+      for lat, cutoff in (("1e13 0 0 1e13", "8e12"), ("1e-6 0 0 1e-6", "8e-7"))
+      for cmd, cut in (("matrix", ()), ("neighbors", ("--cutoff", cutoff)))
+      for fmt in ("json", "csv")],
 ]
 
 
