@@ -8,7 +8,9 @@ the unit bases.  JSON files ({"dim": n, "columns": [...]} or
 
 Exit codes: 0 success, 1 domain errors (singular basis, non-primitive
 cell, verification mismatch or skipped), 2 usage or parse errors.
-Diagnostics go to stderr, results to stdout.
+Diagnostics go to stderr, results to stdout.  When the reader of stdout
+closes it early (``minimage ... | head``), ``main`` exits quietly with
+141, the status a shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -39,6 +42,58 @@ _SIG12 = "%.12g"
 def _sig12(x: float) -> float:
     """Round to 12 significant digits for printing."""
     return float(_SIG12 % x)
+
+
+def _json_safe(values: np.ndarray) -> np.ndarray:
+    """True only where the text ``"%.12g" % v`` is already the JSON number
+    ``json.dumps`` writes for ``_sig12(v)``, which is ``repr(_sig12(v))``.
+
+    Let t be ``"%.12g" % v`` and x = float(t), the double nearest to t.
+    ``repr(x)`` is the shortest decimal that reads back to x.  Two decimals
+    of at most 15 significant digits never read back to the same normal
+    double, and t has at most 12, so when x is normal no shorter decimal
+    reads back to x: ``repr(x)`` has the digits of t.  The two texts then
+    differ only in layout.  Both write an exponent below 1e-4, and write it
+    alike ("1.5e-07"); but "%.12g" writes one from 1e12 up and repr only
+    from 1e16 up, and "%g" drops the ".0" of an integral value.  So t is
+    the JSON text unless v is not finite, x is subnormal or t is an
+    integer.  The test is False on a superset of those: |v| < 1e-307, and
+    v within 1e-11 |v| of an integer.  When t is an integer n, v lies
+    within half a unit of t's 12th digit of n, at most 5e-12 |v|; every
+    |v| from 5e10 up falls in the test, those written with an exponent
+    among them.  ``v - rint(v)`` is exact.
+    """
+    v = np.where(np.isfinite(values), values, 0.0)
+    a = np.abs(v)
+    return (a >= 1e-307) & (np.abs(v - np.rint(v)) > 1e-11 * a)
+
+
+def _json_rows(table: np.ndarray) -> list[str]:
+    """The JSON text of each row of ``table`` rounded by ``_sig12``, as
+    ``json.dumps`` writes it, with one format call per row.  A row of
+    ``_json_safe`` values is its "%.12g" text; an exact +0.0 on the
+    diagonal, as every distance matrix has, is the literal 0.0 and keeps
+    its row there.  Any other row is read back as floats and written by
+    ``json.dumps``."""
+    n = table.shape[1]
+    fmt = ", ".join([_SIG12] * n)
+    d = np.arange(min(table.shape))
+    zero = (table[d, d] == 0.0) & ~np.signbit(table[d, d])
+    safe = _json_safe(table)
+    safe[d[zero], d[zero]] = True
+    zero = zero.tolist()
+    out = []
+    for i, (row, ok) in enumerate(zip(table.tolist(), safe.all(axis=1).tolist())):
+        if not ok:
+            out.append(json.dumps([float(t) for t in (fmt % tuple(row)).split(", ")]))
+        elif i < len(zero) and zero[i]:
+            cells = [_SIG12] * n
+            cells[i] = "0.0"
+            del row[i]
+            out.append("[" + ", ".join(cells) % tuple(row) + "]")
+        else:
+            out.append("[" + fmt % tuple(row) + "]")
+    return out
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -122,8 +177,11 @@ def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
         data = {"frac": [line.split() for line in text.splitlines() if line.strip()]}
     if not isinstance(data, dict) or "frac" not in data:
         raise UsageError(f"{path} must contain a 'frac' key")
-    if not isinstance(data.get("labels"), (list, type(None))):
+    labels = data.get("labels")
+    if not isinstance(labels, (list, type(None))):
         raise UsageError(f"'labels' in {path} must be a list or null")
+    if labels is not None and not all(isinstance(x, str) for x in labels):
+        raise UsageError(f"'labels' in {path} must be strings")
     try:
         pts = np.array(data["frac"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -131,7 +189,7 @@ def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
     if pts.ndim != 2 or pts.shape[1] != basis.dim:
         raise UsageError(f"points in {path} must be {basis.dim}-dimensional rows")
     try:
-        return PeriodicPointSet(basis=basis, points=pts, labels=data.get("labels"))
+        return PeriodicPointSet(basis=basis, points=pts, labels=labels)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid points in {path}: {exc}") from None
 
@@ -269,15 +327,12 @@ def _dist(a):
 def _matrix(a):
     ps = a.points
     mat = pairwise_distances(ps)
-    fmt = ",".join([_SIG12] * mat.shape[1])  # one format call per row
-    rows = [fmt % tuple(row) for row in mat.tolist()]
     if a.format == "csv":
-        out = "\n".join(rows)
+        fmt = ",".join([_SIG12] * mat.shape[1])  # one format call per row
+        out = "\n".join([fmt % tuple(row) for row in mat.tolist()])
     else:
-        out = {
-            "labels": list(ps.labels) if ps.labels else None,
-            "distances": [list(map(float, row.split(","))) for row in rows],
-        }
+        out = '{"labels": %s, "distances": [%s]}' % (
+            json.dumps(list(ps.labels) if ps.labels else None), ", ".join(_json_rows(mat)))
     return out, lambda: _check_distances(ps.basis, ps.points, [
         (i, j, mat[i, j]) for i in range(len(ps)) for j in range(i + 1, len(ps))])
 
@@ -288,22 +343,27 @@ def _neighbors(a):
         arrays = neighbor_arrays(ps, a.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    hits = list(zip(*(x.tolist() for x in arrays)))
+
+    def hits():
+        return zip(*(x.tolist() for x in arrays))
+
     if a.format == "csv":
         coords = ",".join(f"t{k+1}" for k in range(b.dim))
         out = "\n".join([f"i,j,{coords},distance"] + [
-            f"{i},{j}," + ",".join(map(str, img)) + "," + _SIG12 % d for i, j, img, d in hits])
+            f"{i},{j}," + ",".join(map(str, img)) + "," + _SIG12 % d for i, j, img, d in hits()])
     else:
-        out = {
-            "cutoff": _sig12(a.cutoff),
-            "count": len(hits),
-            "neighbors": [{"i": i, "j": j, "image": img, "distance": _sig12(d)}
-                          for i, j, img, d in hits],
-        }
+        # The distances as one row, then one format call per hit.
+        fmt = ('{"i": %d, "j": %d, "image": [' + ", ".join(["%d"] * b.dim)
+               + '], "distance": %s}')
+        i, j, images, d = arrays
+        dists = _json_rows(d[None, :])[0][1:-1].split(", ")
+        out = '{"cutoff": %s, "count": %d, "neighbors": [%s]}' % (
+            json.dumps(_sig12(a.cutoff)), len(d), ", ".join([
+                fmt % row for row in zip(i.tolist(), j.tolist(), *images.T.tolist(), dists)]))
 
     def verify():
         found = {}
-        for i, j, img, d in hits:
+        for i, j, img, d in hits():
             found.setdefault((i, j), {})[tuple(img)] = d
         return _check_hit_sets(b, ps.points, a.cutoff, found)
     return out, verify
@@ -442,7 +502,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader has gone.  Python flushes stdout again at exit, so
+        # point it at devnull to keep that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -307,11 +307,14 @@ def test_non_finite_points_and_cutoff_are_usage_errors(capsys, tmp_path):
     assert "usage error" in capsys.readouterr().err
 
 
-def run_python(*args):
+def python_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], env=env,
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], env=python_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -334,6 +337,29 @@ def test_python_dash_m_runs_the_cli(module):
                       "--p1", "0.1 0.1", "--p2", "0.9 0.1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"distance": 0.2, "image": [-1, 0]}
+
+
+def test_a_closed_pipe_exits_quietly(tmp_path):
+    """``minimage ... | head -c 300``: the reader leaves early.  The output
+    (about 1 MB) is far larger than a pipe's buffer, so the write fails."""
+    pts = tmp_path / "pts.txt"
+    points = np.random.default_rng(0).random((80, 2)).tolist()
+    pts.write_text("".join(f"{x!r} {y!r}\n" for x, y in points))
+    proc = subprocess.Popen([sys.executable, "-m", "minimage.cli", "neighbors", "--lattice",
+                             "2 0 0 2", "--points", str(pts), "--cutoff", "2.5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+    try:
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert head.startswith(b'{"cutoff": 2.5, "count": ')
+    assert "Traceback" not in err
+    assert err == ""
+    assert proc.returncode == 141
 
 
 def test_python_dash_m_bad_arguments_exit_2():
@@ -570,6 +596,19 @@ def test_points_file_labels_must_be_a_list(capsys, tmp_path, labels):
     assert captured.err == f"usage error: 'labels' in {pts} must be a list or null\n"
 
 
+@pytest.mark.parametrize("labels", [[None, "b", "c"], ["a", True, "c"], ["a", "b", {"a": 1}],
+                                    ["a", "b", 3], ["a", "b", ["c"]]],
+                         ids=["null", "bool", "object", "number", "list"])
+def test_points_file_label_items_must_be_strings(capsys, tmp_path, labels):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5], [0.7, 0.1]],
+                               "labels": labels}))
+    assert run(["matrix", "--lattice", "identity2", "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: 'labels' in {pts} must be strings\n"
+
+
 def test_points_file_labels_may_be_null(capsys, tmp_path):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": None}))
@@ -764,8 +803,20 @@ def _edge_values():
     return np.array(edges + [-x for x in edges])
 
 
+def _planted_values():
+    """The edge values and three that "%.12g" rounds to an integer."""
+    return np.concatenate([_edge_values(), [1 + 4e-12, 2 - 4e-12, 1e10 + 0.04]])
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else where they first differ; keeps
+    a failure's report short."""
+    k = len(os.path.commonprefix([got, want]))
+    return None if got == want else (k, got[k:k + 80], want[k:k + 80])
+
+
 def test_table_rows_print_twelve_significant_digits(monkeypatch):
-    """The row formatter against the per-value rule on a million seeded
+    """The table writers against the per-value rule on a million seeded
     float64 bit patterns (NaN and inf among them) and the values where the
     notation or the rounding switches."""
     rng = np.random.default_rng(18)
@@ -774,21 +825,56 @@ def test_table_rows_print_twelve_significant_digits(monkeypatch):
     bits = np.frombuffer(rng.bytes(8 * (width * 1001 - len(edges))), dtype=np.float64)
     mat = np.concatenate([edges, bits]).reshape(-1, width)
     assert mat.size - len(edges) >= 10**6
+    # A distance matrix: an exact +0.0 diagonal and plain decimals, with one
+    # planted value off the diagonal in each of the first rows.  Every row
+    # of random bit patterns holds a value that takes the per-value path;
+    # here the last rows take the direct one.  With a -0.0 diagonal, no
+    # row does.
+    planted = _planted_values()
+    n = len(planted) + 12
+    square = rng.uniform(0.01, 100.0, (n, n))
+    np.fill_diagonal(square, 0.0)
+    k = np.arange(len(planted))
+    square[k, (k + rng.integers(1, n, len(k))) % n] = planted
+    negative_zero = square.copy()
+    np.fill_diagonal(negative_zero, -0.0)
 
-    def matrix(fmt, table=mat):
+    def matrix(fmt, table):
         monkeypatch.setattr(cli, "pairwise_distances", lambda ps: table)
         return cli._matrix(SimpleNamespace(points=SimpleNamespace(labels=None), format=fmt))[0]
 
-    def first_difference(got, want):  # keeps a failure's report short
-        return next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                    None if len(got) == len(want) else "lengths differ")
-
-    rows = mat.tolist()
-    assert first_difference(matrix("csv").split("\n"),
-                            [",".join(f"{v:.12g}" for v in row) for row in rows]) is None
-    assert first_difference([json.dumps(row) for row in matrix("json")["distances"]],
-                            [json.dumps([float(f"{v:.12g}") for v in row])
-                             for row in rows]) is None
+    for table in (mat, square, negative_zero):
+        rows = table.tolist()
+        assert first_difference(matrix("csv", table), "\n".join(
+            ",".join(f"{v:.12g}" for v in row) for row in rows)) is None
+        assert first_difference(matrix("json", table), json.dumps({
+            "labels": None,
+            "distances": [[float(f"{v:.12g}") for v in row] for row in rows]})) is None
     assert matrix("csv", edges.reshape(-1, 1)).split("\n") == [f"{v:.12g}" for v in edges]
     assert json.dumps([cli._sig12(v) for v in edges]) == json.dumps(
         [float(f"{v:.12g}") for v in edges.tolist()])
+
+
+def test_neighbor_rows_print_twelve_significant_digits(monkeypatch):
+    """The neighbor list's JSON against the per-value rule: plain decimals
+    alone, with one value planted among them as in the table test above,
+    and with the edge values and 100,000 seeded bit patterns."""
+    rng = np.random.default_rng(19)
+    plain = rng.uniform(0.01, 100.0, 200)
+    planted = _planted_values()
+    lists = [plain, *[np.insert(plain, rng.integers(201), v) for v in planted],
+             np.concatenate([planted, plain,
+                             np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)])]
+    for d in lists:
+        i = rng.integers(0, 50, len(d))
+        j = i + rng.integers(0, 50, len(d))
+        images = rng.integers(-3, 4, (len(d), 3))
+        monkeypatch.setattr(cli, "neighbor_arrays", lambda ps, cutoff: (i, j, images, d))
+        out = cli._neighbors(SimpleNamespace(points=None, lattice=SimpleNamespace(dim=3),
+                                             cutoff=0.75, format="json"))[0]
+        assert first_difference(out, json.dumps({
+            "cutoff": 0.75,
+            "count": len(d),
+            "neighbors": [{"i": a, "j": b, "image": img, "distance": float(f"{v:.12g}")}
+                          for a, b, img, v in zip(i.tolist(), j.tolist(), images.tolist(),
+                                                  d.tolist())]})) is None

@@ -39,6 +39,11 @@ FILES = {
     "pts3.json": json.dumps({"frac": [[0.1, 0.2, 0.3], [0.9, 0.8, 0.1],
                                       [0.5, 0.05, 0.6], [0.33, 0.66, 0.99]]}),
     "bad.json": json.dumps({"frac": [[0.1, 0.1], ["NaN", 0.3]]}),
+    # On the lattice 2 I: a repeated point and points at integer distances
+    # (0, 1 and, across a cell, 2) beside rows of plain decimals.
+    "ints2.json": json.dumps({"frac": [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5],
+                                       [0.25, 0.25], [0.1, 0.3], [0.9, 0.65]],
+                              "labels": ["o", "x", "x again", "y", "q", "r", "s"]}),
 }
 
 CASES = [
@@ -98,6 +103,9 @@ CASES = [
       for lat, cutoff in (("1e13 0 0 1e13", "8e12"), ("1e-6 0 0 1e-6", "8e-7"))
       for cmd, cut in (("matrix", ()), ("neighbors", ("--cutoff", cutoff)))
       for fmt in ("json", "csv")],
+    # JSON rows where "%.12g" drops the ".0" of an integral distance.
+    ["matrix", "--lattice", "2 0 0 2", "--points", "ints2.json"],
+    ["neighbors", "--lattice", "2 0 0 2", "--points", "ints2.json", "--cutoff", "2.5"],
 ]
 
 

@@ -28,6 +28,18 @@ SHRINK_100_DIGESTS = {
     "neighbors_within@2.5": "e6cd4a277192903c1adcfd6683ed650b382dc879c038254d975d1541eaef1196",
 }
 
+# The digests `cli_digest.py --shrink 10` prints, frozen: any change to the
+# exit code, stdout or stderr of one of its 36 commands changes one of them.
+CLI_SHRINK_10_DIGESTS = {
+    "dist": "c00301407873f52155584e8110fec21829aa487f49376961ecbc8e028be6ce18",
+    "cells": "7d2b743159d7d225ea36183f469f0b0e39576756e4cd086cdf6bbf780ae778fa",
+    "check-cell": "4a42c93ffb12b24b8645d8fa0c3cf4ed788e9006416789c3476a6be2efa4fc11",
+    "matrix-json": "0a9fc28560e816c83e8f2c56d46069fd289a1fdb9c50b4cb8db8e908f1747ccc",
+    "matrix-csv": "e557911a9573e74909db79ce10ba077c8e6cc295a36351c5b18cd148d935b94a",
+    "neighbors-json": "7c2d873eeafffed119b0d1385b6da6f2137d8deded5e9fc1ddbfb3e427accf14",
+    "neighbors-csv": "c8b7b1f7cf0c257b5025a21ab5c7151a2faeedf1f18db833e13f81bb7fe8b52d",
+}
+
 
 def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -67,3 +79,11 @@ def test_output_digest_only_prints_the_full_runs_digest():
     head, *digests = proc.stdout.splitlines()
     assert head.startswith("18 bases, seed 0")
     assert digests == [f"{'min_image_distance':20s} {SHRINK_100_DIGESTS['min_image_distance']}"]
+
+
+def test_cli_digest_is_frozen():
+    proc = run_script("cli_digest.py", "--shrink", "10")
+    assert proc.returncode == 0, proc.stderr
+    head, *digests = proc.stdout.splitlines()
+    assert head == "36 commands, seed 0, 4 cycles"
+    assert dict(line.split() for line in digests) == CLI_SHRINK_10_DIGESTS
