@@ -19,6 +19,7 @@ pure, so everything is safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,17 +74,21 @@ class Basis:
     def diameter(self) -> float:
         """Largest distance between two corners of the unit cell."""
         # The rows of the unit box are the differences of two corners.
-        return float(np.linalg.norm(self.matrix @ int_box((1,) * self.dim).T, axis=0).max())
+        return float(np.linalg.norm(self.matrix @ _UNIT_BOX[self.dim].T, axis=0).max())
 
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """A lattice point given by exact integer coefficients."""
+    """A lattice point given by exact integer coefficients.
+
+    Python and NumPy integers are accepted; any other coefficient, such as
+    a float, raises TypeError rather than being truncated.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
     @property
     def dim(self) -> int:
@@ -277,3 +282,7 @@ def int_box(layers, start: int = 0, stop: int | None = None) -> np.ndarray:
     shape = tuple(int(x) for x in 2 * m + 1)
     rows = np.arange(start, math.prod(shape) if stop is None else min(stop, math.prod(shape)))
     return np.column_stack(np.unravel_index(rows, shape)) - m
+
+
+# Per dimension, the unit box int_box((1,) * n), built once.
+_UNIT_BOX = {n: int_box((1,) * n) for n in (2, 3)}

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, LatticeVector, int_box, wrap_frac
+from .core import _UNIT_BOX, Basis, LatticeVector, int_box, matvecs, wrap_frac
 from .errors import ReductionNonConvergence
 from . import copies, reduction, voronoi
 
@@ -101,7 +101,11 @@ _SPLIT = 2
 
 @dataclass(frozen=True, eq=False)
 class PeriodicPointSet:
-    """Points of the quotient torus, as wrapped fractional coordinates."""
+    """Points of the quotient torus, as wrapped fractional coordinates.
+
+    ``labels``, when given, holds one string per point; a single string or
+    an item that is not a string raises ValueError.
+    """
 
     basis: Basis
     points: np.ndarray
@@ -119,7 +123,13 @@ class PeriodicPointSet:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+            # A string is a sequence of strings too; its characters are not labels.
+            if isinstance(self.labels, str):
+                raise ValueError("labels must be a sequence of strings, not one string")
+            labels = tuple(self.labels)
+            if not all(isinstance(x, str) for x in labels):
+                raise ValueError("labels must be strings")
+            labels = tuple(map(str, labels))
             if len(labels) != len(pts):
                 raise ValueError("labels and points must have the same length")
             object.__setattr__(self, "labels", labels)
@@ -146,7 +156,7 @@ def _reduced_search_block(b: Basis) -> tuple[reduction.ReducedBasis, np.ndarray]
 def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer cell index and in-cell offset of reduced fractional
     coordinates; ValueError at 2**53 or above, where floor is inexact."""
-    if not np.all(np.abs(f) < 2.0 ** 53):
+    if not (np.abs(f) < 2.0 ** 53).all():
         raise ValueError("reduced fractional coordinates must be below 2**53 in magnitude")
     w = np.floor(f)
     return w.astype(np.int64), f - w
@@ -155,8 +165,9 @@ def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pick_image(dd: np.ndarray, images: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Index and coefficients of the minimal image, ties broken lexically."""
     tied = np.flatnonzero(dd <= float(dd.min()) * (1.0 + 2.0 * TIE_REL))
-    best = min(tied, key=lambda t: tuple(images[t]))
-    return int(best), tuple(int(x) for x in images[best])
+    rows = images[tied].tolist()
+    best = min(range(len(rows)), key=rows.__getitem__)
+    return int(tied[best]), tuple(rows[best])
 
 
 def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
@@ -170,36 +181,35 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     coordinates.  A descent longer than ``_MAX_DESCENT`` steps raises
     ``ReductionNonConvergence``.
     """
+    n = b.dim
     p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
-    if p1.shape != (b.dim,) or p2.shape != (b.dim,):
-        raise ValueError(f"points must have {b.dim} coordinates, got shapes "
+    if p1.shape != (n,) or p2.shape != (n,):
+        raise ValueError(f"points must have {n} coordinates, got shapes "
                          f"{p1.shape} and {p2.shape}")
-    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
         raise ValueError("points must be finite")
     red = reduction.reduce(b)
     rm = red.basis.matrix
-    w1, d1 = _split_cells(red.inverse @ p1)
-    w2, d2 = _split_cells(red.inverse @ p2)
-    y = d2 - d1
-    box = int_box((1,) * b.dim)
+    # Each point's reduced coordinates with the bits of red.inverse @ p.
+    w, d = _split_cells(matvecs(red.inverse, (p1, p2)))
+    y = d[1] - d[0]
+    box = _UNIT_BOX[n]
     # The scan offsets: the unit box (its middle row is t itself), then the
     # nonzero proper subset sums of the obtuse superbase.
-    offsets = np.vstack([box, voronoi._TABLES[b.dim][0] @ red.superbase.T])
-    t = np.zeros(b.dim, dtype=np.int64)
+    offsets = np.concatenate((box, voronoi._TABLES[n][0] @ red.superbase.T))
+    scan = offsets  # t + offsets, from t = 0
     for _ in range(_MAX_DESCENT + 1):
-        scan = t + offsets
         cart = (y + scan) @ rm.T
         dd = np.einsum("ij,ij->i", cart, cart)
-        k = len(box) + int(np.argmin(dd[len(box):]))
+        k = len(box) + int(dd[len(box):].argmin())
         if not dd[k] < dd[len(box) // 2] * (1.0 - TIE_REL):
             break
-        t = scan[k]
+        scan = scan[k] + offsets
     else:
         raise ReductionNonConvergence(
             f"minimum-image descent did not converge in {_MAX_DESCENT} steps")
-    images = (scan + (w1 - w2)[None, :]) @ red.transform.T
-    k, img = _pick_image(dd, images)
-    return DistanceResult(distance=float(math.sqrt(dd[k])), image=LatticeVector(img))
+    k, img = _pick_image(dd, (scan + (w[0] - w[1])) @ red.transform.T)
+    return DistanceResult(distance=math.sqrt(dd[k]), image=LatticeVector(img))
 
 
 def _row_ranges(npts: int):

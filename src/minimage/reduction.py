@@ -20,6 +20,7 @@ one more over all tied triples, orderings and signings picks among them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +76,17 @@ def reduce(b: Basis) -> ReducedBasis:
     half of 3D lattices) the signing with the least acute violation is
     returned, and is_reduced reports it as not fully reduced.
     """
-    cols = _gauss_columns(b.matrix)
+    m = b.matrix
+    vecs, carts, n2 = _gauss_columns(m)
     if b.dim == 2:
-        u = _ranked_config(b.matrix, np.array(cols), np.array([[0, 1]]))
-        s = np.column_stack([u, -u.sum(axis=1)])
+        u = _ranked_config(vecs, carts, n2, _PAIR)
     else:
-        s, vecs, sets = _selling_shortest_triples(b.matrix, cols)
-        u = _ranked_config(b.matrix, vecs, sets)
+        s, vecs, carts, n2, sets = _selling_shortest_triples(m, vecs)
+        u = _ranked_config(vecs, carts, n2, sets)
     uinv = unimodular_inverse(u)
-    return ReducedBasis(basis=Basis(b.matrix @ u), transform=u, superbase=uinv @ s, inverse=uinv)
+    # A 2D superbase is the obtuse basis and minus its sum.
+    superbase = _START[2] if b.dim == 2 else uinv @ s
+    return ReducedBasis(basis=Basis(m @ u), transform=u, superbase=superbase, inverse=uinv)
 
 
 def is_reduced(b: Basis) -> bool:
@@ -99,69 +102,81 @@ def is_reduced(b: Basis) -> bool:
             or any(float(m[:, i] @ m[:, j]) > COS_SNAP * norms[i] * norms[j]
                    for i, j in itertools.combinations(range(n), 2))):
         return False
-    zs = int_box((_SHORTNESS_BOX,) * n)
+    zs = _SHORTNESS[n]
     lens = np.linalg.norm(zs @ m.T, axis=1)
     # Column k must be no longer than any vector independent of columns < k.
     return all(lens[np.any(zs[:, k:] != 0, axis=1)].min() >= norms[k] * (1.0 - 1e-9)
                for k in range(n))
 
 
-def _norm2(m: np.ndarray, z: np.ndarray) -> float:
-    c = m @ z
-    return float(c @ c)
+# Per dimension, the coefficient box is_reduced enumerates.
+_SHORTNESS = {n: int_box((_SHORTNESS_BOX,) * n) for n in (2, 3)}
 
 
-def _gauss_columns(m: np.ndarray) -> list[np.ndarray]:
+def _gauss_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise Lagrange-Gauss reduction of the columns of ``m``.
 
     Columns stay in ascending norm.  Column k is rounded against each
     shorter column in turn; if the result is no shorter than column k - 1
     the steps move on to column k + 1, otherwise it drops to its place and
-    the steps resume there.  For n = 2 this is Lagrange-Gauss.
+    the steps resume there.  For n = 2 this is Lagrange-Gauss.  Returns the
+    columns as coefficient rows, their Cartesian rows and their squared
+    norms, with the bits of the 1-D products ``m @ z`` and ``c @ c``: each
+    column carries its Cartesian row, recomputed only when a nonzero
+    rounding step moves it.
     """
-    cols = sorted(((_norm2(m, z), z) for z in np.eye(len(m), dtype=np.int64)),
-                  key=lambda c: c[0])
+    eye = _EYE[len(m)]
+    carts = matvecs(m, eye)
+    cols = sorted(zip(row_dots(carts, carts).tolist(), eye, carts), key=lambda c: c[0])
     k = 1
     for _ in range(MAX_ITERATIONS):
         if k == len(cols):
-            return [z for _, z in cols]
-        v2, v = cols.pop(k)
-        w = v
-        for u2, u in cols[:k]:
-            q = float((m @ u) @ (m @ w)) / u2
+            n2, vecs, carts = zip(*cols)
+            return np.array(vecs), np.array(carts), np.array(n2)
+        v2, v, cv = cols.pop(k)
+        w, cw = v, cv
+        for u2, u, cu in cols[:k]:
+            q = float(cu @ cw) / u2
             if not abs(q) < 2.0 ** 53:  # where a float stops being an exact integer
                 raise ReductionNonConvergence("Lagrange-Gauss coefficient reached 2**53")
-            w = w - round(q) * u
-        w2 = _norm2(m, w)
-        p = sum(u2 <= w2 for u2, _ in cols[:k])
+            r = round(q)
+            if r:
+                w = w - r * u
+                cw = m @ w
+        w2 = v2 if w is v else float(cw @ cw)
+        p = sum(u2 <= w2 for u2, _, _ in cols[:k])
         # Rounding at a norm tie can lengthen a column by noise.  Only the
         # last column keeps such a step, as Lagrange-Gauss does, so the
         # columns stay sorted, never grow, and the steps terminate.
         if p == k < len(cols) and w2 > v2:
-            w2, w = v2, v
-        cols.insert(p, (w2, w))
+            w2, w, cw = v2, v, cv
+        cols.insert(p, (w2, w, cw))
         k = max(p, 1) if p < k else k + 1
     raise ReductionNonConvergence(
         f"Lagrange-Gauss did not converge in {MAX_ITERATIONS} steps"
     )
 
 
-def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
-    """Selling-reduce the superbase of ``start``; return it as integer
-    columns in the input basis, the candidates as coefficient rows in the
-    input basis, and the index rows of every unimodular triple whose sorted
-    norm profile ties the lexicographic minimum within NORM_TIE."""
-    s = np.column_stack(start + [-sum(start)])
+def _selling_shortest_triples(m: np.ndarray, start: np.ndarray):
+    """Selling-reduce the superbase of the coefficient rows ``start``.
+
+    Returns the superbase as integer columns in the input basis; the 13
+    candidates as coefficient rows in the input basis, with their Cartesian
+    rows and squared norms (the bits of ``matvecs`` and ``row_dots``); and
+    the index rows of every unimodular triple whose sorted norm profile
+    ties the lexicographic minimum within NORM_TIE.
+    """
+    s = start.T @ _START[3]
     for _ in range(MAX_ITERATIONS):
         c = m @ s
-        norms = np.linalg.norm(c, axis=0).tolist()
         gram = (c.T @ c).tolist()
         # Flip the pair with the largest inner product above the snap, the
         # first in (i, j) order on a tie.
         best, flip = 0.0, None
         for (i, j), f in _FLIPS:
-            if gram[i][j] > COS_SNAP * (norms[i] * norms[j]) and gram[i][j] > best:
-                best, flip = gram[i][j], f
+            g = gram[i][j]
+            if g > best and g > COS_SNAP * (math.sqrt(gram[i][i]) * math.sqrt(gram[j][j])):
+                best, flip = g, f
         if flip is None:
             break
         s = s @ flip
@@ -171,14 +186,22 @@ def _selling_shortest_triples(m: np.ndarray, start: list[np.ndarray]):
         )
 
     w = _CANDIDATES @ s[:, :3].T
-    profiles = np.sort(np.linalg.norm(w @ m.T, axis=1)[_TRIPLES], axis=1)
+    carts = matvecs(m, w)
+    n2 = row_dots(carts, carts)
+    profiles = np.sort(np.sqrt(n2)[_TRIPLES], axis=1)
     # The tie-aware lexicographic minimum; the first row at each running
     # minimum survives its filter, so the result is never empty.
     keep = np.ones(len(_TRIPLES), dtype=bool)
-    for k in range(3):
-        keep &= profiles[:, k] <= profiles[keep, k].min() * (1.0 + NORM_TIE)
-    return s, w, _TRIPLES[keep]
+    for col in profiles.T:
+        keep &= col <= col[keep].min() * (1.0 + NORM_TIE)
+    return s, w, carts, n2, _TRIPLES[keep]
 
+
+# Per dimension: the identity, and the superbase (e_1, ..., e_n, -sum e_i).
+_EYE = {n: np.eye(n, dtype=np.int64) for n in (2, 3)}
+_START = {n: np.hstack([_EYE[n], -np.ones((n, 1), dtype=np.int64)]) for n in (2, 3)}
+# The one index pair a 2D basis is ranked over.
+_PAIR = np.array([[0, 1]])
 
 # The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and
 # the index triples of those with determinant +-1.  The superbase is
@@ -207,20 +230,21 @@ _CONFIGS = {n: (np.array(list(itertools.permutations(range(n)))),
                 np.array(list(itertools.combinations(range(n), 2))).T) for n in (2, 3)}
 
 
-def _ranked_config(matrix: np.ndarray, vecs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _ranked_config(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
+                   sets: np.ndarray) -> np.ndarray:
     """The columns of the best ordering and signing of the best tied set.
 
-    ``sets`` holds index rows into the coefficient rows ``vecs``.  Over all
-    sets, norm-ascending orderings and sign patterns the rank is: fewest
-    acute pairs (cosines above COS_SNAP), smallest worst acute cosine,
-    largest flattened Cartesian tuple (negated, so the rank is minimized);
-    exact ties go to the first (set, ordering, signing).  Products keep
-    the bits of per-vector 1-D products, and roots those of ``x ** 0.5``.
+    ``sets`` holds index rows into the coefficient rows ``vecs``, whose
+    Cartesian rows ``carts`` and squared norms ``n2`` carry the bits of
+    ``matvecs`` and ``row_dots``.  Over all sets, norm-ascending orderings
+    and sign patterns the rank is: fewest acute pairs (cosines above
+    COS_SNAP), smallest worst acute cosine, largest flattened Cartesian
+    tuple (negated, so the rank is minimized); exact ties go to the first
+    (set, ordering, signing).  Products keep the bits of per-vector 1-D
+    products, and roots those of ``x ** 0.5``.
     """
-    n = len(matrix)
+    n = vecs.shape[1]
     perms, signs, (a, b) = _CONFIGS[n]
-    carts = matvecs(matrix, vecs)
-    n2 = row_dots(carts, carts)
     idx = sets[:, perms].reshape(-1, n)
     idx = idx[np.all(n2[idx[:, :-1]] <= n2[idx[:, 1:]], axis=1)]
     ia, ib = idx[:, a], idx[:, b]

@@ -228,8 +228,12 @@ def frac_extents(cell: VoronoiCell | _Prepared, frame: Basis) -> np.ndarray:
 
     h_i = max over vertices x of |(frame^-1 x)_i|; central symmetry of the
     cell makes this the half-extent in both directions.  Only
-    ``cell.vertices`` is read.
+    ``cell.vertices`` is read.  A cell and frame of different dimensions
+    raise ValueError.
     """
+    if cell.vertices.shape[1] != frame.dim:
+        raise ValueError(f"a {cell.vertices.shape[1]}D cell has no extents in a "
+                         f"{frame.dim}D frame")
     return _reach(cell.vertices, frame.inv)
 
 

@@ -309,6 +309,13 @@ def test_lattice_vector_cart():
     assert np.allclose(v.cart(b), [2 - 5, 1])
 
 
+@pytest.mark.parametrize("coeffs", [(0.5, 1), (1.0, 2), (np.float64(3.0), 0), ("1", 0)])
+def test_lattice_vector_rejects_non_integers(coeffs):
+    # int(c) once truncated (0.5, 1) to (0, 1) without a word.
+    with pytest.raises(TypeError):
+        mi.LatticeVector(coeffs)
+
+
 def test_int_det_matches_float_det():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -219,6 +219,14 @@ def test_point_set_rejects_bad_shapes(identity2):
 def test_point_set_labels(identity2):
     ps = mi.PeriodicPointSet(identity2, [[0.1, 0.2], [0.3, 0.4]], labels=["u", "v"])
     assert ps.labels == ("u", "v")
+    assert mi.PeriodicPointSet(identity2, [[0.1, 0.2]], labels=np.array(["w"])).labels == ("w",)
+
+
+@pytest.mark.parametrize("labels", ["ab", ["a", None], [None, 3], [b"a", b"b"]])
+def test_point_set_labels_must_be_strings(identity2, labels):
+    # "ab" once labelled the points ("a", "b"), and [None, 3] ("None", "3").
+    with pytest.raises(ValueError, match="labels"):
+        mi.PeriodicPointSet(identity2, [[0.1, 0.2], [0.3, 0.4]], labels=labels)
 
 
 # --- kernels against the direct broadcast formula -----------------------------

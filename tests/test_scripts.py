@@ -28,6 +28,14 @@ SHRINK_100_DIGESTS = {
     "neighbors_within@2.5": "e6cd4a277192903c1adcfd6683ed650b382dc879c038254d975d1541eaef1196",
 }
 
+# The digests `output_digest.py --seed 0 --only reduce,min_image_distance`
+# prints on the full corpus of 1,501 bases, frozen: the reduction and the
+# single-pair distance keep every output bit on every basis.
+FULL_CORPUS_DIGESTS = {
+    "reduce": "d1241c0143f4d136741058fe091cd0be31afc8508701b903cdf5ca9cdc1e585f",
+    "min_image_distance": "f3f720bddd614eb7fa8865bee7787191c78a028e2a89bb00ad1cf6a8e3588877",
+}
+
 # The digests `cli_digest.py --shrink 10` prints, frozen: any change to the
 # exit code, stdout or stderr of one of its 36 commands changes one of them.
 CLI_SHRINK_10_DIGESTS = {
@@ -79,6 +87,14 @@ def test_output_digest_only_prints_the_full_runs_digest():
     head, *digests = proc.stdout.splitlines()
     assert head.startswith("18 bases, seed 0")
     assert digests == [f"{'min_image_distance':20s} {SHRINK_100_DIGESTS['min_image_distance']}"]
+
+
+def test_full_corpus_reduce_and_distance_digests_are_frozen():
+    proc = run_script("output_digest.py", "--seed", "0", "--only", "reduce,min_image_distance")
+    assert proc.returncode == 0, proc.stderr
+    head, *digests = proc.stdout.splitlines()
+    assert head.startswith("1501 bases, seed 0, ")
+    assert dict(line.split() for line in digests) == FULL_CORPUS_DIGESTS
 
 
 def test_cli_digest_is_frozen():

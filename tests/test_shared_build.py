@@ -281,18 +281,18 @@ def equivalence_bases():
 
 
 def tied_sets(b: mi.Basis):
-    cols = reduction._gauss_columns(b.matrix)
+    vecs, carts, n2 = reduction._gauss_columns(b.matrix)
     if b.dim == 2:
-        return np.array(cols), np.array([[0, 1]])
-    return reduction._selling_shortest_triples(b.matrix, cols)[1:]
+        return vecs, carts, n2, np.array([[0, 1]])
+    return reduction._selling_shortest_triples(b.matrix, vecs)[1:]
 
 
 @pytest.mark.parametrize("b", equivalence_bases())
 def test_ranked_config_matches_the_loop(b):
-    vecs, sets = tied_sets(b)
+    vecs, carts, n2, sets = tied_sets(b)
     _, cols = min((loop_ranked_config(b.matrix, list(vecs[s])) for s in sets),
                   key=lambda cfg: cfg[0])
-    got = reduction._ranked_config(b.matrix, vecs, sets)
+    got = reduction._ranked_config(vecs, carts, n2, sets)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.column_stack(cols))
 
@@ -359,7 +359,7 @@ def test_reduce_ranks_all_tied_sets_in_one_call(monkeypatch, b):
 def test_skewed_fcc_ties_sixteen_triples():
     """The case the single ranking call is for: every shortest triple ties."""
     b = skewed_basis(np.random.default_rng(3), FCC, 1e3)
-    _, sets = tied_sets(b)
+    *_, sets = tied_sets(b)
     assert len(sets) == 16
 
 
@@ -524,9 +524,9 @@ def vertex_bases_3d():
 
 @pytest.mark.parametrize("b", vertex_bases_3d())
 def test_selling_step_matches_the_triangle_pick(b):
-    cols = reduction._gauss_columns(b.matrix)
-    s = triu_selling(b.matrix, [c.copy() for c in cols])
-    got, w, _ = reduction._selling_shortest_triples(b.matrix, cols)
+    vecs = reduction._gauss_columns(b.matrix)[0]
+    s = triu_selling(b.matrix, [c.copy() for c in vecs])
+    got, w, *_ = reduction._selling_shortest_triples(b.matrix, vecs)
     assert np.array_equal(got, s)
     assert w.dtype == np.int64
     assert np.array_equal(w, reduction._CANDIDATES @ s[:, :3].T)

@@ -192,3 +192,9 @@ def test_frac_extents_sheared_frame(identity2, shear):
     assert np.allclose(h, oracle_h, atol=1e-12)
     assert h[0] == pytest.approx((shear + 1) / 2, abs=1e-12)
     assert h[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_frac_extents_dimensions_must_match(identity2, fcc):
+    for cell, frame in ((mi.voronoi_cell(fcc), identity2), (mi.voronoi_cell(identity2), fcc)):
+        with pytest.raises(ValueError, match=f"{cell.dim}D cell .* {frame.dim}D frame"):
+            mi.frac_extents(cell, frame)
