@@ -7,10 +7,12 @@ the unit bases.  JSON files ({"dim": n, "columns": [...]} or
 {"cell": [a, b, c, alpha, beta, gamma]}) override inline values.
 
 Exit codes: 0 success, 1 domain errors (singular basis, non-primitive
-cell, verification mismatch or skipped), 2 usage or parse errors.
-Diagnostics go to stderr, results to stdout.  When the reader of stdout
-closes it early (``minimage ... | head``), ``main`` exits quietly with
-141, the status a shell reports for a process ended by SIGPIPE.
+cell, verification mismatch or skipped), 2 usage or parse errors: an
+unreadable or non-UTF-8 file, and any value the library rejects with
+ValueError.  Diagnostics go to stderr, results to stdout.  When the
+reader of stdout closes it early (``minimage ... | head``), ``main``
+exits quietly with 141, the status a shell reports for a process ended
+by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .errors import LatticeError, OracleBudgetExceeded
 from . import cells, copies, oracle, reduction, render, voronoi
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad input; ``run`` reports it, like any ValueError, with exit 2."""
 
 
 # Every printed distance has 12 significant digits; a JSON number is that
@@ -121,11 +123,16 @@ def _parse_inline_matrix(text: str) -> Basis:
     return validate_basis(np.array(vals).reshape(n, n).T)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _load_matrix_file(path: str) -> Basis:
     try:
-        data = json.loads(open(path, encoding="utf-8").read())
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not ("columns" in data or "cell" in data):
@@ -157,20 +164,10 @@ def _resolve_basis(args, prefix: str, required: bool = True) -> Basis | None:
     return None
 
 
-def _parse_point(text: str, dim: int) -> np.ndarray:
-    vals = _floats(text, "point")
-    if len(vals) != dim:
-        raise UsageError(f"point needs {dim} coordinates, got {len(vals)}")
-    return np.array(vals)
-
-
 def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
     """Points from JSON {"frac": [...], "labels": [...]} or from plain text,
     one point per line."""
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -183,13 +180,7 @@ def _load_points(path: str, basis: Basis) -> PeriodicPointSet:
     if labels is not None and not all(isinstance(x, str) for x in labels):
         raise UsageError(f"'labels' in {path} must be strings")
     try:
-        pts = np.array(data["frac"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"cannot parse points in {path}: {exc}") from None
-    if pts.ndim != 2 or pts.shape[1] != basis.dim:
-        raise UsageError(f"points in {path} must be {basis.dim}-dimensional rows")
-    try:
-        return PeriodicPointSet(basis=basis, points=pts, labels=labels)
+        return PeriodicPointSet(basis=basis, points=data["frac"], labels=labels)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid points in {path}: {exc}") from None
 
@@ -316,10 +307,7 @@ def _check_cell(a):
 
 
 def _dist(a):
-    try:
-        res = min_image_distance(a.lattice, a.p1, a.p2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    res = min_image_distance(a.lattice, a.p1, a.p2)
     out = {"distance": _sig12(res.distance), "image": list(res.image.coeffs)}
     return out, lambda: _check_distances(a.lattice, [a.p1, a.p2], [(0, 1, res.distance)])
 
@@ -338,34 +326,26 @@ def _matrix(a):
 
 
 def _neighbors(a):
-    ps, b = a.points, a.lattice
-    try:
-        arrays = neighbor_arrays(ps, a.cutoff)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    def hits():
-        return zip(*(x.tolist() for x in arrays))
-
+    ps, n = a.points, a.lattice.dim
+    i, j, images, d = neighbor_arrays(ps, a.cutoff)
+    # The columns i, j, t1..tn of the hits, then one format call per hit.
+    cols = [i.tolist(), j.tolist(), *images.T.tolist()]
     if a.format == "csv":
-        coords = ",".join(f"t{k+1}" for k in range(b.dim))
-        out = "\n".join([f"i,j,{coords},distance"] + [
-            f"{i},{j}," + ",".join(map(str, img)) + "," + _SIG12 % d for i, j, img, d in hits()])
+        fmt = ",".join(["%d"] * (n + 2) + [_SIG12])
+        head = ",".join(["i", "j", *(f"t{k}" for k in range(1, n + 1)), "distance"])
+        out = "\n".join([head] + [fmt % row for row in zip(*cols, d.tolist())])
     else:
-        # The distances as one row, then one format call per hit.
-        fmt = ('{"i": %d, "j": %d, "image": [' + ", ".join(["%d"] * b.dim)
-               + '], "distance": %s}')
-        i, j, images, d = arrays
+        fmt = '{"i": %d, "j": %d, "image": [' + ", ".join(["%d"] * n) + '], "distance": %s}'
         dists = _json_rows(d[None, :])[0][1:-1].split(", ")
         out = '{"cutoff": %s, "count": %d, "neighbors": [%s]}' % (
-            json.dumps(_sig12(a.cutoff)), len(d), ", ".join([
-                fmt % row for row in zip(i.tolist(), j.tolist(), *images.T.tolist(), dists)]))
+            json.dumps(_sig12(a.cutoff)), len(d),
+            ", ".join([fmt % row for row in zip(*cols, dists)]))
 
     def verify():
         found = {}
-        for i, j, img, d in hits():
-            found.setdefault((i, j), {})[tuple(img)] = d
-        return _check_hit_sets(b, ps.points, a.cutoff, found)
+        for i, j, *img, dist in zip(*cols, d.tolist()):
+            found.setdefault((i, j), {})[tuple(img)] = dist
+        return _check_hit_sets(a.lattice, ps.points, a.cutoff, found)
     return out, verify
 
 
@@ -452,16 +432,14 @@ def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
 
 
 def _resolve(args, inputs):
-    """Replace the raw inputs in ``args`` by parsed, validated values."""
+    """Replace the raw inputs in ``args`` by parsed values; the library
+    checks them."""
     inputs = inputs.split()
     args.lattice = _resolve_basis(args, "lattice")
     if "cell" in inputs or "cell?" in inputs:
         args.cell = _resolve_basis(args, "cell", required="cell" in inputs)
     if "p1/p2" in inputs:
-        args.p1 = _parse_point(args.p1, args.lattice.dim)
-        args.p2 = _parse_point(args.p2, args.lattice.dim)
-    if "cutoff" in inputs and not (args.cutoff > 0 and math.isfinite(args.cutoff)):
-        raise UsageError("--cutoff must be positive and finite")
+        args.p1, args.p2 = (np.array(_floats(p, "point")) for p in (args.p1, args.p2))
     if "points" in inputs:
         args.points = _load_points(args.points, args.lattice)
     return args
@@ -493,7 +471,7 @@ def run(argv=None) -> int:
         out, verifier = handler(_resolve(args, inputs))
         _print(out)
         return _report(verifier) if getattr(args, "verify", False) else 0
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LatticeError as exc:

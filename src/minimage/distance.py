@@ -71,6 +71,7 @@ so every result is bit-identical to the direct broadcast formula.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,9 @@ _SPLIT = 2
 class PeriodicPointSet:
     """Points of the quotient torus, as wrapped fractional coordinates.
 
-    ``labels``, when given, holds one string per point; a single string or
-    an item that is not a string raises ValueError.
+    ``labels``, when given, holds one string per point, in order; a single
+    string, a set, a mapping or an item that is not a string raises
+    ValueError.
     """
 
     basis: Basis
@@ -123,9 +125,12 @@ class PeriodicPointSet:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            # A string is a sequence of strings too; its characters are not labels.
-            if isinstance(self.labels, str):
-                raise ValueError("labels must be a sequence of strings, not one string")
+            # A string is a sequence of strings too, but its characters are
+            # not labels; a set has no order, and a mapping's keys are not
+            # labels either.
+            if isinstance(self.labels, (str, Set, Mapping)):
+                raise ValueError("labels must be a sequence of strings, not "
+                                 + type(self.labels).__name__)
             labels = tuple(self.labels)
             if not all(isinstance(x, str) for x in labels):
                 raise ValueError("labels must be strings")

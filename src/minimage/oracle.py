@@ -178,9 +178,11 @@ def _block_minima(m: np.ndarray, deltas: np.ndarray, *blocks) -> list[np.ndarray
 def block_counterexample(cell: Basis, layers):
     """Among 200 seeded point pairs of the cell, one that the block of
     ``layers`` gets wrong, as (p1, p2) lists, or None.  The true minima come
-    from the union of the pairs' certified boxes."""
+    from the union of the pairs' certified boxes.  The block is budgeted
+    like those boxes, before either is built."""
     pairs = np.random.default_rng(171717).random((200, 2, cell.dim))
     deltas = pairs[:, 1] - pairs[:, 0]
+    _within_budget(len(deltas) * math.prod(2 * m + 1 for m in layers), "the block check")
     (d_small,) = _block_minima(cell.matrix, deltas, int_box(layers))
     boxes = [certified_layers(cell, d, delta) for d, delta in zip(d_small, deltas)]
     big = [max(axis) for axis in zip(*boxes)]

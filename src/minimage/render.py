@@ -17,17 +17,24 @@ from . import copies, voronoi
 
 WIDTH = 720.0
 MARGIN = 0.05
+# The most cell copies a figure draws.  Each copy is one SVG polygon: a
+# block far past this is unreadable, and its time and size grow with it.
+MAX_COPIES = 10_000
 
 
 def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     """Write an SVG showing the cell, its copies, V, relevant vectors, and
-    the reach domain (cell + V Minkowski sum).  2D only."""
+    the reach domain (cell + V Minkowski sum).  2D only; a block of more
+    than ``MAX_COPIES`` copies raises ValueError."""
     if lattice.dim != 2:
         raise UnsupportedDimension("rendering is implemented for 2D only")
     cell = lattice if cell is None else cell
     copies.primitive_coeffs(cell, lattice)
     p = voronoi._prepare(lattice)
     counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
+    if counts.total > MAX_COPIES:
+        raise ValueError(f"the block of {counts.total:,} copies is over the "
+                         f"render limit of {MAX_COPIES:,}")
 
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ cell.matrix.T
     vverts = p.vertices[np.argsort(np.arctan2(p.vertices[:, 1], p.vertices[:, 0]), kind="stable")]

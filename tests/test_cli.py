@@ -169,6 +169,29 @@ def test_render_to_an_unwritable_path_is_usage_error(capsys, tmp_path, where):
     assert "Traceback" not in captured.err
 
 
+def test_render_refuses_a_block_over_its_copy_limit(capsys, tmp_path):
+    out = tmp_path / "x.svg"
+    code = run(["render", "--lattice", "identity2", "--cell", "1 0 3e5 1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: the block of 900,009 copies is over the "
+                            "render limit of 10,000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["copies", "check-cell"])
+def test_block_check_over_budget_is_skipped_before_allocating(capsys, cmd):
+    """The 1e9 shear needs a block of 3e9 copies; the check is budgeted
+    before the block is built."""
+    code = run([cmd, "--lattice", "identity2", "--cell", "1 0 1e9 1", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert '"total": 3000000009' in captured.out
+    assert captured.err.startswith(
+        "verify: skipped: the block check needs 600,000,001,800 lattice points")
+
+
 def test_render_rejects_3d(capsys, tmp_path):
     code = run(["render", "--lattice", "identity3",
                 "--out", str(tmp_path / "x.svg")])
@@ -200,11 +223,14 @@ def test_exit_code_usage_errors(capsys):
 
 @pytest.mark.parametrize("case", ["inline-value", "missing-lattice-file",
                                   "lattice-file-not-json", "points-without-frac",
-                                  "points-of-the-wrong-dimension"])
+                                  "points-of-the-wrong-dimension", "lattice-file-not-utf8",
+                                  "cell-file-not-utf8", "points-not-utf8"])
 def test_input_errors_are_usage_errors(capsys, tmp_path, case):
     (tmp_path / "lat.json").write_text('{"columns": [[1, 0], [0, 1]]')
     (tmp_path / "nofrac.json").write_text('{"points": [[0.1, 0.2]]}')
     (tmp_path / "pts3.txt").write_text("0.1 0.2 0.3\n")
+    bad = tmp_path / "utf16.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
     argv = {
         "inline-value": ["reduce", "--lattice", "1 x 0 1"],
         "missing-lattice-file": ["reduce", "--lattice-file", str(tmp_path / "none.json")],
@@ -213,12 +239,18 @@ def test_input_errors_are_usage_errors(capsys, tmp_path, case):
                                 "--points", str(tmp_path / "nofrac.json")],
         "points-of-the-wrong-dimension": ["matrix", "--lattice", "identity2",
                                           "--points", str(tmp_path / "pts3.txt")],
+        "lattice-file-not-utf8": ["reduce", "--lattice-file", str(bad)],
+        "cell-file-not-utf8": ["copies", "--lattice", "identity2", "--cell-file", str(bad)],
+        "points-not-utf8": ["matrix", "--lattice", "identity2", "--points", str(bad)],
     }[case]
     code = run(argv)
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("usage error:")
+    if case.endswith("utf8"):
+        assert out.err.startswith(f"usage error: cannot read {bad}: ")
+        assert "Traceback" not in out.err
 
 
 def test_neighbors_below_every_distance_print_no_hits(capsys, tmp_path):
@@ -712,7 +744,7 @@ def full_parser_run(argv):
         out, verifier = handler(cli._resolve(args, inputs))
         cli._print(out)
         return cli._report(verifier) if getattr(args, "verify", False) else 0
-    except cli.UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LatticeError as exc:

@@ -222,9 +222,11 @@ def test_point_set_labels(identity2):
     assert mi.PeriodicPointSet(identity2, [[0.1, 0.2]], labels=np.array(["w"])).labels == ("w",)
 
 
-@pytest.mark.parametrize("labels", ["ab", ["a", None], [None, 3], [b"a", b"b"]])
+@pytest.mark.parametrize("labels", ["ab", ["a", None], [None, 3], [b"a", b"b"],
+                                    {"a", "b"}, {"x": 1, "y": 2}])
 def test_point_set_labels_must_be_strings(identity2, labels):
-    # "ab" once labelled the points ("a", "b"), and [None, 3] ("None", "3").
+    # "ab" once labelled the points ("a", "b"), and [None, 3] ("None", "3");
+    # a set's order depended on the hash seed, and a mapping gave its keys.
     with pytest.raises(ValueError, match="labels"):
         mi.PeriodicPointSet(identity2, [[0.1, 0.2], [0.3, 0.4]], labels=labels)
 

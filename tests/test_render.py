@@ -29,6 +29,13 @@ def test_render_sheared_block(tmp_path, identity2):
     assert path.read_text().count("<polygon") == 24
 
 
+def test_render_refuses_a_block_over_its_copy_limit(tmp_path, identity2):
+    cell = mi.validate_basis(np.array([[1.0, 3e5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="900,009 copies"):
+        mi.render_2d(identity2, cell, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_rejects_3d(tmp_path, identity3):
     with pytest.raises(mi.UnsupportedDimension):
         mi.render_2d(identity3, None, tmp_path / "x.svg")
