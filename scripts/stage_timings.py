@@ -1,0 +1,181 @@
+"""Time the stages of ``reduce`` for two source trees, side by side.
+
+Loads the ``minimage`` package of each tree in one process, under its own
+module name, and times on the same bases, per call:
+
+- ``_gauss_columns``, ``_selling_shortest_triples`` (3D only),
+  ``_ranked_config`` and ``unimodular_inverse``, each on its own tree's
+  inputs to that stage;
+- ``reduce`` itself;
+- ``min_image_distance`` on one seeded pair of points per basis.
+
+Rounds interleave the two trees, and the tree that goes first alternates
+from round to round, so drifts in machine speed reach both sides alike.
+Each figure is the median over rounds of the mean time per call in ms,
+and ``ratio`` is change over base.
+
+The groups of bases, all seeded:
+
+- ``2d``, ``3d``: the stream-like pool, 24 bases per dimension of
+  condition number 10^U(0, 1), 1e2 and 1e3 (8 each), unit covolume; half
+  of the 3D bases are rebuilt from their cell parameters, in the standard
+  orientation;
+- ``fcc``, ``cubic``: face-centred cubic and cubic lattices, and
+  ``skewed_hexagonal``: the hexagonal lattice, each in 8 random unimodular
+  frames.  Their shortest vectors have equal norms.
+
+Prints one JSON object: group -> stage -> {"base", "change", "ratio"}.
+
+Usage: python scripts/stage_timings.py --base OLD/src --change src
+           [--seed 1] [--rounds 9] [--repeats 20]
+
+A tree is a directory that holds the ``minimage`` package, or a checkout
+whose ``src`` does.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+HEX_2D = np.array([[1.0, -0.5], [0.0, math.sqrt(3.0) / 2.0]])
+FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
+          "unimodular_inverse", "reduce", "min_image_distance")
+
+
+def load(tree: Path, name: str):
+    """Import the ``minimage`` package under ``tree`` as module ``name``."""
+    pkg = tree / "minimage"
+    if not pkg.is_dir():
+        pkg = tree / "src" / "minimage"
+    if not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"stage_timings: no minimage package under {tree}")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cond_matrix(rng, n: int, cond: float) -> np.ndarray:
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ q2
+    return m / abs(np.linalg.det(m)) ** (1.0 / n)
+
+
+def unimodular(rng, n: int) -> np.ndarray:
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(6):
+        i, j = rng.choice(n, size=2, replace=False)
+        u[:, j] += int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1) * u[:, i]
+    return u
+
+
+def groups(seed: int) -> dict:
+    """Group name -> list of (kind, matrix or cell parameters, p1, p2)."""
+    rng = np.random.default_rng(seed)
+    conds = [lambda: 10 ** rng.uniform(0.0, 1.0), lambda: 1e2, lambda: 1e3]
+    out = {"2d": [], "3d": []}
+    for cond in conds:
+        for k in range(8):
+            out["2d"].append(("matrix", cond_matrix(rng, 2, cond())))
+            out["3d"].append(("params" if k % 2 else "matrix", cond_matrix(rng, 3, cond())))
+    for name, m in (("fcc", FCC), ("cubic", np.eye(3)), ("skewed_hexagonal", HEX_2D)):
+        out[name] = [("matrix", m @ unimodular(rng, len(m))) for _ in range(8)]
+    return {name: [(kind, m, rng.random(len(m)), rng.random(len(m))) for kind, m in items]
+            for name, items in out.items()}
+
+
+class Side:
+    """One tree's stage callables, each with its argument tuples per group."""
+
+    def __init__(self, mi, pool: dict):
+        red = importlib.import_module(f"{mi.__name__}.reduction")
+        core = importlib.import_module(f"{mi.__name__}.core")
+        self.calls = {}
+        for name, items in pool.items():
+            bases = []
+            for kind, m, p1, p2 in items:
+                b = mi.validate_basis(m)
+                if kind == "params":
+                    b = mi.cell_params_to_basis(*mi.basis_to_cell_params(b))
+                bases.append((b, p1, p2))
+            stages = {"_gauss_columns": [], "_selling_shortest_triples": [],
+                      "_ranked_config": [], "unimodular_inverse": []}
+            for b, _, _ in bases:
+                m = b.matrix
+                vecs, carts, n2 = red._gauss_columns(m)
+                stages["_gauss_columns"].append((m,))
+                if b.dim == 2:
+                    sets = red._PAIR
+                else:
+                    stages["_selling_shortest_triples"].append((m, vecs))
+                    _, vecs, carts, n2, sets = red._selling_shortest_triples(m, vecs)
+                stages["_ranked_config"].append((vecs, carts, n2, sets))
+                stages["unimodular_inverse"].append(
+                    (red._ranked_config(vecs, carts, n2, sets),))
+            stages["reduce"] = [(b,) for b, _, _ in bases]
+            stages["min_image_distance"] = bases
+            fns = {"unimodular_inverse": core.unimodular_inverse, "reduce": red.reduce,
+                   "min_image_distance": mi.min_image_distance}
+            self.calls[name] = {
+                stage: (fns.get(stage) or getattr(red, stage), args)
+                for stage, args in stages.items() if args}
+
+
+def per_call_ms(fn, args: list, repeats: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        for a in args:
+            fn(*a)
+    return 1e3 * (time.perf_counter() - t0) / (repeats * len(args))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=9)
+    parser.add_argument("--repeats", type=int, default=20)
+    args = parser.parse_args(argv)
+
+    pool = groups(args.seed)
+    sides = {"base": Side(load(args.base, "minimage_base"), pool),
+             "change": Side(load(args.change, "minimage_change"), pool)}
+    samples = {(g, s, side): [] for g in pool for s in STAGES for side in sides
+               if s in sides[side].calls[g]}
+    for r in range(args.rounds):
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        for g in pool:
+            for stage in STAGES:
+                for side in order:
+                    if stage in sides[side].calls[g]:
+                        fn, a = sides[side].calls[g][stage]
+                        samples[g, stage, side].append(per_call_ms(fn, a, args.repeats))
+
+    report = {}
+    for g in pool:
+        for stage in STAGES:
+            if (g, stage, "base") in samples and (g, stage, "change") in samples:
+                base, change = (statistics.median(samples[g, stage, side])
+                                for side in ("base", "change"))
+                report.setdefault(g, {})[stage] = {
+                    "base": round(base, 5), "change": round(change, 5),
+                    "ratio": round(change / base, 3)}
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

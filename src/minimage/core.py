@@ -174,14 +174,15 @@ def cell_params_to_basis(a: float, b: float, c: float,
 
 
 def basis_to_cell_params(basis: Basis) -> tuple[float, float, float, float, float, float]:
-    """Recover (a, b, c, alpha, beta, gamma) from a 3D basis via its Gram matrix."""
+    """Recover (a, b, c, alpha, beta, gamma) from a 3D basis via its Gram
+    matrix.  A cosine that rounds just outside [-1, 1] (two nearly parallel
+    columns) is clamped into it before ``acos``."""
     if basis.dim != 3:
         raise UnsupportedDimension("cell parameters are defined for 3D bases only")
     g = gram_matrix(basis)
     a, b, c = (math.sqrt(g[i, i]) for i in range(3))
-    alpha = math.degrees(math.acos(g[1, 2] / (b * c)))
-    beta = math.degrees(math.acos(g[0, 2] / (a * c)))
-    gamma = math.degrees(math.acos(g[0, 1] / (a * b)))
+    alpha, beta, gamma = (math.degrees(math.acos(max(-1.0, min(1.0, g[i, j] / (x * y)))))
+                          for i, j, x, y in ((1, 2, b, c), (0, 2, a, c), (0, 1, a, b)))
     return a, b, c, alpha, beta, gamma
 
 

@@ -14,7 +14,18 @@ which strictly decreases the norm-square sum.  The vectors attaining the
 successive minima then have coefficients in {-1, 0, 1} with respect to the
 superbase, so one array pass over the unimodular triples of those
 candidates finds every shortest triple, ties within NORM_TIE included, and
-one more over all tied triples, orderings and signings picks among them.
+one ranking over all tied triples, orderings and signings picks among them.
+
+The ranking keys of a signing s are its acute count, its worst acute
+cosine and its negated flattened Cartesian tuple.  The first two depend on
+s only through the products s_a s_b, so s and -s share them, and the third
+of -s is the negation of that of s: between the two, the winner makes the
+first nonzero Cartesian entry of the first column positive.  So when one
+set ties and its norms strictly increase (the common case; in 2D, every
+pair whose two norms differ), there is one ordering and 2^(n-1) signings
+to rank, and Python compares over the cosines, computed once with the
+array pass's products and roots, rank them with the same bits.  Several
+tied sets or equal norms (cubic, square, FCC) take the array pass.
 """
 
 from __future__ import annotations
@@ -47,7 +58,10 @@ class ReducedBasis:
     of the integer combination (a single float matmul away from the input).
     ``superbase`` is an obtuse superbase in ``basis`` coordinates: Selling's
     in 3D, and in 2D the obtuse basis and minus its sum.  ``inverse``, the
-    exact inverse of ``transform``, is computed here when not given.
+    exact inverse of ``transform``, is computed here when not given.  The
+    three are kept as read-only int64 arrays: one that already is one and
+    owns its data (as ``reduce`` hands them over) is kept, anything else (a
+    list, a writeable array, a view) is copied.
     """
 
     basis: Basis
@@ -59,9 +73,12 @@ class ReducedBasis:
         if self.inverse is None:
             object.__setattr__(self, "inverse", unimodular_inverse(self.transform))
         for name in ("transform", "superbase", "inverse"):
-            t = np.array(getattr(self, name), dtype=np.int64, copy=True)
-            t.flags.writeable = False
-            object.__setattr__(self, name, t)
+            t = getattr(self, name)
+            if not (type(t) is np.ndarray and t.dtype == np.int64
+                    and t.flags.owndata and not t.flags.writeable):
+                t = np.array(t, dtype=np.int64)
+                t.flags.writeable = False
+                object.__setattr__(self, name, t)
 
     @property
     def norms(self) -> np.ndarray:
@@ -86,6 +103,8 @@ def reduce(b: Basis) -> ReducedBasis:
     uinv = unimodular_inverse(u)
     # A 2D superbase is the obtuse basis and minus its sum.
     superbase = _START[2] if b.dim == 2 else uinv @ s
+    for t in (u, uinv, superbase):
+        t.flags.writeable = False
     return ReducedBasis(basis=Basis(m @ u), transform=u, superbase=superbase, inverse=uinv)
 
 
@@ -200,6 +219,9 @@ def _selling_shortest_triples(m: np.ndarray, start: np.ndarray):
 # Per dimension: the identity, and the superbase (e_1, ..., e_n, -sum e_i).
 _EYE = {n: np.eye(n, dtype=np.int64) for n in (2, 3)}
 _START = {n: np.hstack([_EYE[n], -np.ones((n, 1), dtype=np.int64)]) for n in (2, 3)}
+# Every 2D ReducedBasis shares its superbase.
+for _t in _START.values():
+    _t.flags.writeable = False
 # The one index pair a 2D basis is ranked over.
 _PAIR = np.array([[0, 1]])
 
@@ -224,10 +246,16 @@ def _selling_step(i: int, j: int) -> np.ndarray:
 _FLIPS = [((i, j), _selling_step(i, j)) for i, j in itertools.combinations(range(4), 2)]
 
 
-# Per dimension: orderings and signings in tie-break order, and pairs a < b.
+# Per dimension: orderings and signings in tie-break order, and pairs a < b;
+# for the direct ranking, the pairs as two index lists, and the signings
+# with a positive first sign, each with its sign product per pair.
 _CONFIGS = {n: (np.array(list(itertools.permutations(range(n)))),
                 np.array(list(itertools.product((1, -1), repeat=n))),
                 np.array(list(itertools.combinations(range(n), 2))).T) for n in (2, 3)}
+_PAIRS = {n: tuple(c.tolist()) for n, (_, _, c) in _CONFIGS.items()}
+_SIGNINGS = {n: [(s, [s[i] * s[j] for i, j in zip(*_PAIRS[n])])
+                 for s in itertools.product((1, -1), repeat=n) if s[0] == 1]
+             for n in (2, 3)}
 
 
 def _ranked_config(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
@@ -242,7 +270,53 @@ def _ranked_config(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
     tuple (negated, so the rank is minimized); exact ties go to the first
     (set, ordering, signing).  Products keep the bits of per-vector 1-D
     products, and roots those of ``x ** 0.5``.
+
+    One set with strictly increasing norms has one ordering, and of each
+    signing s and its negation -s (equal in the first two keys, opposite
+    in the third) the one whose first column has a positive first nonzero
+    Cartesian entry wins, so :func:`_ranked_untied` ranks the 2^(n-1)
+    signings left.  Several sets or equal norms take :func:`_ranked_array`.
     """
+    if len(sets) == 1:
+        norms = n2.tolist()
+        idx = sorted(sets[0].tolist(), key=norms.__getitem__)
+        if all(norms[i] < norms[j] for i, j in zip(idx, idx[1:])):
+            return _ranked_untied(vecs, carts, norms, idx)
+    return _ranked_array(vecs, carts, n2, sets)
+
+
+def _ranked_untied(vecs: np.ndarray, carts: np.ndarray, norms: list,
+                   idx: list) -> np.ndarray:
+    """The ranking of :func:`_ranked_config` for the one ordering ``idx``
+    (norms strictly increasing).  The cosines take one ``row_dots`` call and
+    ``x ** 0.5`` roots, the operations the array pass does element by
+    element, and a sign flip is exact, so the ranks carry its bits.  -0.0
+    and 0.0 compare equal here as in ``lexsort``."""
+    n = len(idx)
+    a, b = ([idx[i] for i in side] for side in _PAIRS[n])
+    dots = row_dots(carts.take(a, axis=0), carts.take(b, axis=0)).tolist()
+    cosines = [g / (norms[i] * norms[j]) ** 0.5 for g, i, j in zip(dots, a, b)]
+    rows = [carts[i].tolist() for i in idx]
+    first = 1 if next(x for x in rows[0] if x) > 0 else -1
+
+    def key(signs):
+        return [-first * s * x for s, row in zip(signs, rows) for x in row]
+
+    best = best_rank = None
+    for signs, products in _SIGNINGS[n]:
+        acute = [x for x in (c * p for c, p in zip(cosines, products)) if x > COS_SNAP]
+        rank = (len(acute), max(acute, default=0.0))
+        if best is None or rank < best_rank or rank == best_rank and key(signs) < key(best):
+            best, best_rank = signs, rank
+    v = vecs.tolist()
+    return np.array([[first * s * v[i][k] for s, i in zip(best, idx)] for k in range(n)],
+                    dtype=np.int64)
+
+
+def _ranked_array(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
+                  sets: np.ndarray) -> np.ndarray:
+    """The ranking of :func:`_ranked_config` in one array pass over every
+    set, norm-ascending ordering and signing."""
     n = vecs.shape[1]
     perms, signs, (a, b) = _CONFIGS[n]
     idx = sets[:, perms].reshape(-1, n)

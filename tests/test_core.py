@@ -234,6 +234,21 @@ def test_cell_params_round_trip():
         mi.basis_to_cell_params(mi.validate_basis(np.eye(2)))
 
 
+def test_cell_params_of_nearly_parallel_columns():
+    # Two columns 3e-10 apart in angle, rotated about z: their cosine rounds
+    # to 1.0000000000000002, which acos rejects unless clamped.
+    t = 0.02
+    rot = np.array([[math.cos(t), -math.sin(t), 0.0], [math.sin(t), math.cos(t), 0.0],
+                    [0.0, 0.0, 1.0]])
+    b = mi.validate_basis(rot @ np.array([[1.0, 1.0, 0.0], [0.0, 3e-10, 0.0], [0.0, 0.0, 1.0]]))
+    g = mi.gram_matrix(b)
+    assert g[0, 1] / math.sqrt(g[0, 0] * g[1, 1]) > 1.0
+    a, bb, c, alpha, beta, gamma = mi.basis_to_cell_params(b)
+    assert (a, bb, c) == pytest.approx((1.0, 1.0, 1.0), rel=1e-12)
+    assert (alpha, beta) == pytest.approx((90.0, 90.0), abs=1e-9)
+    assert gamma == 0.0
+
+
 @pytest.mark.parametrize("params", [
     (1, 1, 1, 170, 170, 170),   # no positive volume
     (0, 1, 1, 90, 90, 90),

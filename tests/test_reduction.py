@@ -138,6 +138,38 @@ def test_lattice_without_obtuse_shortest_basis():
     assert np.prod(cos) > 0
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_reduce_result_is_read_only(n):
+    red = mi.reduce(random_cond_basis(np.random.default_rng(n), n, 10.0))
+    for t in (red.basis.matrix, red.transform, red.superbase, red.inverse):
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 7
+    assert red.transform.dtype == red.superbase.dtype == red.inverse.dtype == np.int64
+
+
+def test_reduced_basis_copies_what_a_caller_can_still_change():
+    """A writeable array, a read-only view of one, or a list is copied, so
+    changing the caller's data later leaves the ReducedBasis as it was."""
+    u = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    owner = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)
+    view = owner.view()
+    view.flags.writeable = False
+    inverse = [[1, -1], [0, 1]]
+    red = mi.ReducedBasis(basis=mi.validate_basis(np.eye(2)), transform=u,
+                          superbase=view, inverse=inverse)
+    u[0, 1] = 5
+    owner[0, 0] = 9
+    inverse[0][0] = 3
+    assert red.transform.tolist() == [[1, 1], [0, 1]]
+    assert red.superbase.tolist() == [[1, 0, -1], [0, 1, -1]]
+    assert red.inverse.tolist() == [[1, -1], [0, 1]]
+    assert not any(t.flags.writeable for t in (red.transform, red.superbase, red.inverse))
+    # Without an inverse, the exact one is computed.
+    assert mi.ReducedBasis(basis=red.basis, transform=u, superbase=view).inverse.tolist() == [
+        [1, -5], [0, 1]]
+
+
 def test_reduction_is_deterministic():
     b = mi.validate_basis(np.array([[0.0, 1.0], [1.0, 0.0]]))
     r1 = mi.reduce(b)

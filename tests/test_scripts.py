@@ -1,5 +1,7 @@
-"""Smoke runs of the example scripts, which use only the public API."""
+"""Smoke runs of the scripts.  All but `stage_timings.py`, which times the
+private stages of `reduce`, use only the public API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -103,3 +105,18 @@ def test_cli_digest_is_frozen():
     head, *digests = proc.stdout.splitlines()
     assert head == "36 commands, seed 0, 4 cycles"
     assert dict(line.split() for line in digests) == CLI_SHRINK_10_DIGESTS
+
+
+def test_stage_timings_reports_every_stage_of_both_trees():
+    src = str(ROOT / "src")
+    proc = run_script("stage_timings.py", "--base", src, "--change", src,
+                      "--rounds", "1", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    stages = ["_gauss_columns", "_ranked_config", "unimodular_inverse", "reduce",
+              "min_image_distance"]
+    assert sorted(report) == ["2d", "3d", "cubic", "fcc", "skewed_hexagonal"]
+    for group, timings in report.items():
+        want = stages + (["_selling_shortest_triples"] if group in ("3d", "cubic", "fcc") else [])
+        assert sorted(timings) == sorted(want)
+        assert all(sorted(t) == ["base", "change", "ratio"] for t in timings.values())

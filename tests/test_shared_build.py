@@ -18,7 +18,9 @@ still match it exactly.
 The per-lattice stages that were Python loops (domain enumeration, the
 ranked signing, the norm ordering and the facet measures) are array
 passes; test-only copies of the loops are kept below as the reference they
-must reproduce.  So is a copy of the Selling step that picked its pair
+must reproduce.  The ranked signing of one untied shortest set takes
+direct Python compares instead, and must reproduce the same loop.  So is a
+copy of the Selling step that picked its pair
 from a masked triangle, which the table-driven step must match bit for
 bit.  Two numeric references with their own tolerances, the L/2L coset
 search for the relevant vectors and the vertex build that solved every
@@ -295,6 +297,101 @@ def test_ranked_config_matches_the_loop(b):
     got = reduction._ranked_config(vecs, carts, n2, sets)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.column_stack(cols))
+
+
+# --- the direct ranking of one untied set against the loop -----------------
+# One tied set with strictly increasing norms is ranked over its 2^(n-1)
+# signings with a positive first column; every other input takes the array
+# pass.  Both must give the loop's columns.
+
+RECTANGULAR = [np.diag([1.0, 1.5]), np.diag([1.0, 1.3, 2.0])]
+ZERO_FIRST_ENTRY = [np.column_stack(cols) for cols in (
+    [(0.0, 1.0, 0.0), (1.3, 0.0, 0.0), (0.0, 0.0, 2.0)],
+    [(-0.0, 1.0, 0.0), (1.3, 0.0, 0.0), (0.0, 0.0, 2.0)],
+    [(0.0, -1.0, 0.0), (1.3, 0.0, 0.0), (0.0, 0.0, 2.0)],
+    [(0.0, 1.0), (1.3, 0.0)],
+    [(-0.0, -1.0), (1.3, 0.2)],
+)]
+
+
+def ranking_corpus() -> dict:
+    """Group name -> bases: every type of ``type_sweep`` in 40 random frames,
+    the two frozen 3D lattices, a seeded conditioning corpus, rectangular
+    cells (zero cosines, so the Cartesian tuples decide) in 20 rotations,
+    and shortest vectors whose first Cartesian entry is zero."""
+    rng = np.random.default_rng(22)
+    frames = []
+    for m in type_sweep.TYPES.values():
+        for _ in range(40):
+            q, _ = np.linalg.qr(rng.normal(size=(len(m), len(m))))
+            frames.append(q @ m @ random_unimodular(rng, len(m)))
+    rotations = []
+    for m in RECTANGULAR:
+        rotations.append(m)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(len(m), len(m))))
+            rotations.append(q @ m)
+    return {
+        "types": [mi.validate_basis(m) for m in frames],
+        "frozen": [mi.validate_basis(NO_OBTUSE_SHORTEST_3D),
+                   mi.validate_basis(REDUCED_BUT_H_ABOVE_1)],
+        "conditioning": [random_cond_basis(rng, 2 + k % 2, 10 ** rng.uniform(0.0, 4.0))
+                         for k in range(200)],
+        "rectangular": [mi.validate_basis(m) for m in rotations],
+        "zero-first-entry": [mi.validate_basis(m) for m in ZERO_FIRST_ENTRY],
+    }
+
+
+@pytest.mark.parametrize("group", ranking_corpus())
+def test_both_rankings_match_the_loop(group):
+    for b in ranking_corpus()[group]:
+        vecs, carts, n2, sets = tied_sets(b)
+        _, cols = min((loop_ranked_config(b.matrix, list(vecs[s])) for s in sets),
+                      key=lambda cfg: cfg[0])
+        want = np.column_stack(cols)
+        assert np.array_equal(reduction._ranked_config(vecs, carts, n2, sets), want)
+        assert np.array_equal(reduction._ranked_array(vecs, carts, n2, sets), want)
+
+
+@pytest.mark.parametrize("rows", [
+    [(-0.0, 1.0, 0.0), (1.3, 0.0, 0.0), (0.0, 0.0, 2.0)],
+    [(0.0, -0.0, -1.0), (1.3, 0.0, 0.0), (0.0, 2.0, 0.0)],
+    [(-0.0, -1.0, 0.0), (-1.3, 0.1, 0.0), (0.0, -0.0, 2.0)],
+    [(-0.0, 1.0), (-1.3, -0.0)],
+])
+def test_direct_ranking_skips_signed_zeros(rows):
+    """Cartesian rows given as they are, -0.0 included: the first nonzero
+    entry of the shortest row decides its sign, as in ``lexsort``."""
+    carts = np.array(rows)
+    n = carts.shape[1]
+    vecs = np.eye(n, dtype=np.int64)
+    n2 = mi.core.row_dots(carts, carts)
+    sets = np.array([range(n)])
+    want = reduction._ranked_array(vecs, carts, n2, sets)
+    assert np.array_equal(reduction._ranked_config(vecs, carts, n2, sets), want)
+    first = next(x for x in rows[0] if x)
+    assert want[0, 0] == (1 if first > 0 else -1)
+
+
+def ranking_paths(monkeypatch, bases) -> Counter:
+    untied = counted(monkeypatch, reduction, "_ranked_untied")
+    array = counted(monkeypatch, reduction, "_ranked_array")
+    for b in bases:
+        mi.reduce(b)
+    return untied + array
+
+
+def test_random_bases_take_the_direct_ranking(monkeypatch):
+    bases = ranking_corpus()["conditioning"]
+    assert ranking_paths(monkeypatch, bases) == Counter(_ranked_untied=len(bases))
+
+
+@pytest.mark.parametrize("m", [np.eye(2), np.eye(3), FCC], ids=["square", "cubic", "fcc"])
+def test_equal_norms_take_the_array_pass(monkeypatch, m):
+    rng = np.random.default_rng(8)
+    bases = [mi.validate_basis(m)] + [mi.validate_basis(m @ random_unimodular(rng, len(m)))
+                                      for _ in range(10)]
+    assert ranking_paths(monkeypatch, bases) == Counter(_ranked_array=len(bases))
 
 
 @pytest.mark.parametrize("b", equivalence_bases())
