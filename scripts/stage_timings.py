@@ -1,4 +1,5 @@
-"""Time the stages of ``reduce`` for two source trees, side by side.
+"""Time the stages of ``reduce`` and the readers of the Voronoi build for
+two source trees, side by side.
 
 Loads the ``minimage`` package of each tree in one process, under its own
 module name, and times on the same bases, per call:
@@ -7,7 +8,15 @@ module name, and times on the same bases, per call:
   ``_ranked_config`` and ``unimodular_inverse``, each on its own tree's
   inputs to that stage;
 - ``reduce`` itself;
-- ``min_image_distance`` on one seeded pair of points per basis.
+- ``min_image_distance`` on one seeded pair of points per basis;
+- in the ``geometry`` group only: ``geometry_pass``, the calls of the
+  benchmark's geometry workload (``reduce``, ``relevant_vectors``,
+  ``voronoi_cell``, ``copy_counts``, ``enumerate_ps``, ``check_cell``) on a
+  new ``Basis`` per pass, and each public reader of the Voronoi build
+  (``voronoi_cell``, ``copy_counts``, ``domain_extents``, ``enumerate_ps``,
+  ``check_cell``, ``pairwise_distances`` on 8 seeded points, and
+  ``render_2d`` to the null device, 2D only) on a ``Basis`` that every
+  reader has been called with once already.
 
 Rounds interleave the two trees, and the tree that goes first alternates
 from round to round, so drifts in machine speed reach both sides alike.
@@ -23,6 +32,9 @@ The groups of bases, all seeded:
 - ``fcc``, ``cubic``: face-centred cubic and cubic lattices, and
   ``skewed_hexagonal``: the hexagonal lattice, each in 8 random unimodular
   frames.  Their shortest vectors have equal norms.
+- ``geometry``: 8 bases of condition number 10^U(0, 2), unit covolume,
+  three 3D to one 2D as in the geometry workload (which goes up to 1e3,
+  where the lattice points of a 2D ``render_2d`` window run to millions).
 
 Prints one JSON object: group -> stage -> {"base", "change", "ratio"}.
 
@@ -38,6 +50,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -48,7 +61,9 @@ import numpy as np
 HEX_2D = np.array([[1.0, -0.5], [0.0, math.sqrt(3.0) / 2.0]])
 FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
-          "unimodular_inverse", "reduce", "min_image_distance")
+          "unimodular_inverse", "reduce", "min_image_distance",
+          "geometry_pass", "voronoi_cell", "copy_counts", "domain_extents", "enumerate_ps",
+          "check_cell", "pairwise_distances", "render_2d")
 
 
 def load(tree: Path, name: str):
@@ -82,7 +97,8 @@ def unimodular(rng, n: int) -> np.ndarray:
 
 
 def groups(seed: int) -> dict:
-    """Group name -> list of (kind, matrix or cell parameters, p1, p2)."""
+    """Group name -> list of (kind, matrix or cell parameters, p1, p2); in
+    ``geometry``, list of (matrix, points)."""
     rng = np.random.default_rng(seed)
     conds = [lambda: 10 ** rng.uniform(0.0, 1.0), lambda: 1e2, lambda: 1e3]
     out = {"2d": [], "3d": []}
@@ -92,8 +108,42 @@ def groups(seed: int) -> dict:
             out["3d"].append(("params" if k % 2 else "matrix", cond_matrix(rng, 3, cond())))
     for name, m in (("fcc", FCC), ("cubic", np.eye(3)), ("skewed_hexagonal", HEX_2D)):
         out[name] = [("matrix", m @ unimodular(rng, len(m))) for _ in range(8)]
-    return {name: [(kind, m, rng.random(len(m)), rng.random(len(m))) for kind, m in items]
+    pool = {name: [(kind, m, rng.random(len(m)), rng.random(len(m))) for kind, m in items]
             for name, items in out.items()}
+    pool["geometry"] = [(m, rng.random((8, n))) for n in (3, 3, 3, 2) * 2
+                        for m in [cond_matrix(rng, n, 10 ** rng.uniform(0.0, 2.0))]]
+    return pool
+
+
+def geometry_pass(mi, b) -> None:
+    """The calls of the benchmark's geometry workload, on one lattice."""
+    mi.reduce(b)
+    mi.relevant_vectors(b)
+    mi.voronoi_cell(b)
+    mi.copy_counts(b, b)
+    mi.enumerate_ps(b)
+    mi.check_cell(b, b)
+
+
+def geometry_calls(mi, items: list) -> dict:
+    """The cold pass on a new ``Basis`` per call, and each reader of the
+    Voronoi build on bases it has been called with once already."""
+    bases = [(mi.validate_basis(m), points) for m, points in items]
+    warm = {
+        "voronoi_cell": (mi.voronoi_cell, [(b,) for b, _ in bases]),
+        "copy_counts": (mi.copy_counts, [(b, b) for b, _ in bases]),
+        "domain_extents": (mi.domain_extents, [(b, b) for b, _ in bases]),
+        "enumerate_ps": (mi.enumerate_ps, [(b,) for b, _ in bases]),
+        "check_cell": (mi.check_cell, [(b, b) for b, _ in bases]),
+        "pairwise_distances": (mi.pairwise_distances,
+                               [(mi.PeriodicPointSet(b, points),) for b, points in bases]),
+        "render_2d": (mi.render_2d, [(b, None, os.devnull) for b, _ in bases if b.dim == 2]),
+    }
+    for fn, args in warm.values():
+        for a in args:
+            fn(*a)
+    cold = (lambda m: geometry_pass(mi, mi.Basis(m)), [(m,) for m, _ in items])
+    return {"geometry_pass": cold, **warm}
 
 
 class Side:
@@ -102,8 +152,10 @@ class Side:
     def __init__(self, mi, pool: dict):
         red = importlib.import_module(f"{mi.__name__}.reduction")
         core = importlib.import_module(f"{mi.__name__}.core")
-        self.calls = {}
+        self.calls = {"geometry": geometry_calls(mi, pool["geometry"])}
         for name, items in pool.items():
+            if name == "geometry":
+                continue
             bases = []
             for kind, m, p1, p2 in items:
                 b = mi.validate_basis(m)

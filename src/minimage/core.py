@@ -42,7 +42,11 @@ class Basis:
     """A lattice basis; columns of ``matrix`` span the unit cell.
 
     Inputs go through :func:`validate_basis`; bases derived from a valid
-    one are built directly.  ``det`` and ``inv`` are cached on first use.
+    one are built directly.  ``det`` and ``inv`` are cached on first use,
+    ``inv`` read-only like ``matrix``; ``voronoi`` keeps its build of the
+    lattice's Voronoi cell on the object the same way.  Such facts live in
+    the instance ``__dict__`` and die with it: they are tied to this
+    object, not to its matrix, so an equal ``Basis`` computes them again.
     """
 
     matrix: np.ndarray
@@ -66,7 +70,9 @@ class Basis:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        inv = np.linalg.inv(self.matrix)
+        inv.flags.writeable = False
+        return inv
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.matrix, axis=0)

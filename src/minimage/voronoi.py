@@ -13,8 +13,10 @@ conorms.  Orderings with equal tight sets are one vertex.  So the
 incidence is exact, with no geometric tolerance: every facet keeps its
 vertices however small it is, and no lattice raises DegenerateCell.
 
-Every public operation builds this once per call with ``_prepare``, from
-one reduction, so all read extents from the same vertex set.  Only
+``_prepare`` builds this once per ``Basis`` object, from one reduction,
+and keeps the read-only build on it, as ``Basis`` keeps ``det`` and
+``inv``: every public operation on that object reads the same vertex set,
+and a second ``Basis`` of the same matrix builds again.  Only
 ``voronoi_cell`` measures the facets, in one pass over (facet, tight
 vertex) arrays.
 """
@@ -91,7 +93,8 @@ class VoronoiCell:
 
 
 class _Prepared(NamedTuple):
-    """The facts of one lattice, built once per public call.
+    """The facts of one lattice, built once per ``Basis`` and shared by
+    every call on it, so nothing in it can be written.
 
     ``relevant`` holds the relevant vectors in reduced coordinates,
     ``normals`` both signs of their Cartesian forms, and ``tight[v, f]``
@@ -99,19 +102,29 @@ class _Prepared(NamedTuple):
     """
 
     red: reduction.ReducedBasis
-    relevant: list[tuple[int, ...]]
+    relevant: tuple[tuple[int, ...], ...]
     normals: np.ndarray
     vertices: np.ndarray
     tight: np.ndarray
 
 
 def _prepare(b: Basis) -> _Prepared:
-    """Reduce ``b`` once and build the Voronoi cell from its superbase."""
-    red = reduction.reduce(b)
-    sums, facets, edges = _relevant_sets(red)
-    order, carts = _by_norm(red.basis.matrix, sums[facets])
-    facets = facets[order]
-    return _Prepared(red, list(map(tuple, sums[facets].tolist())), *_vertices(carts, facets, edges))
+    """Reduce ``b`` once and build the Voronoi cell from its superbase, on
+    the first call for this ``Basis`` object; later calls return the build
+    kept in its ``__dict__``.  Two threads that race both build, and the
+    builds are equal bit for bit."""
+    p = b.__dict__.get("_prepared")
+    if p is None:
+        red = reduction.reduce(b)
+        sums, facets, edges = _relevant_sets(red)
+        order, carts = _by_norm(red.basis.matrix, sums[facets])
+        facets = facets[order]
+        arrays = _vertices(carts, facets, edges)
+        for a in arrays:
+            a.flags.writeable = False
+        p = b.__dict__["_prepared"] = _Prepared(
+            red, tuple(map(tuple, sums[facets].tolist())), *arrays)
+    return p
 
 
 def _by_norm(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -206,6 +206,18 @@ def test_basis_matrix_is_immutable():
         b.matrix[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_basis_inverse_is_immutable(n):
+    """``inv`` is cached on first use; a write to it would change every
+    later result read from it, so it is read-only, on a reduced basis too."""
+    b = mi.cell_params_to_basis(2, 3, 4, 80, 95, 100) if n == 3 else mi.validate_basis(
+        [[2.0, 0.7], [0.0, 1.5]])
+    for basis in (b, mi.reduce(b).basis):
+        assert basis.inv is basis.inv
+        with pytest.raises(ValueError):
+            basis.inv[0, 0] = 5.0
+
+
 # --- cell parameter ingestion ---------------------------------------------
 
 

@@ -1,10 +1,14 @@
-"""Each lattice fact is computed once per public call, in one array pass.
+"""Each lattice fact is computed once per public call, in one array pass,
+and the Voronoi build once per ``Basis`` object.
 
 Every public operation reduces the basis once and builds the Voronoi
 vertices at most once, through ``voronoi._prepare``
 (``min_image_distance`` and the neighbor lists build none), and validates
 no basis: inputs arrive validated, and the bases derived from them are built
-directly.  The inverse of the reduction transform is computed once, by
+directly.  ``_prepare`` keeps its read-only build on the ``Basis``, so a
+later operation on the same object that reads it reduces nothing and
+builds nothing, with the bits of a cold call; an equal ``Basis`` builds
+again, and the operations that read no build reduce on every call.  The inverse of the reduction transform is computed once, by
 ``reduce``, and read from the ``ReducedBasis`` after that.  The stage
 counts are checked with counting wrappers around ``reduction.reduce``,
 ``voronoi._vertices`` (the vertex build from the obtuse superbase), and
@@ -30,9 +34,11 @@ within their tolerances of vanishing.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -173,6 +179,147 @@ def test_outputs_match_frozen_fixture(b, pairs, expected):
     for key in ("h", "volume"):
         assert got.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-10)
     assert got == want
+
+
+# --- the build kept on the Basis ------------------------------------------------
+# ``_prepare`` keeps its build in the instance ``__dict__`` of the Basis it
+# was given: every later reader called with that object reads it, whichever
+# reader built it, and a new object with the same matrix builds again.  The
+# calls that read no build reduce on every call.
+
+def build_readers(dim: int, out: Path) -> dict:
+    """Name -> operation, for every public operation that reads the build
+    of a ``dim``-dimensional lattice; ``render_2d`` gives the bytes of the
+    SVG it writes under ``out``."""
+    ops = {name: op for name, (op, builds) in OPERATIONS.items() if builds}
+    if dim == 2:
+        ops["render_2d"] = lambda b: render.render_2d(b, None, out / "cell.svg").read_bytes()
+    return ops
+
+
+def bits(x):
+    """Every bit of an output: arrays by dtype, shape and bytes, floats by
+    hex, dataclasses (Basis included) field by field."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return float(x).hex()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(map(bits, x))
+    return x
+
+
+@pytest.mark.parametrize("n, first", [(n, name) for n in (2, 3)
+                                      for name in build_readers(n, Path())])
+def test_every_reader_reuses_the_kept_build(stage_calls, tmp_path, n, first):
+    b = random_cond_basis(np.random.default_rng(7), n, 1e2)
+    ops = build_readers(n, tmp_path)
+    ops[first](b)
+    stage_calls.clear()
+    for op in ops.values():
+        op(b)
+    assert stage_calls == Counter(reduce=0, vertices=0, validate=0, inverse=0)
+
+
+def test_an_equal_basis_builds_again(stage_calls):
+    b = random_cond_basis(np.random.default_rng(7), 3, 1e2)
+    voronoi.voronoi_cell(b)
+    twin = mi.Basis(b.matrix)
+    stage_calls.clear()
+    voronoi.voronoi_cell(twin)
+    assert stage_calls == Counter(reduce=1, vertices=1, validate=0, inverse=1)
+    assert voronoi._prepare(twin) is not voronoi._prepare(b)
+
+
+@pytest.mark.parametrize("name", ["reduce", "relevant_vectors", "min_image_distance",
+                                  "neighbors_within"])
+def test_calls_that_read_no_build_reduce_every_time(stage_calls, name):
+    b = random_cond_basis(np.random.default_rng(7), 3, 1e2)
+    voronoi._prepare(b)
+    op = OPERATIONS[name][0]
+    for _ in range(2):
+        stage_calls.clear()
+        op(b)
+        assert stage_calls == Counter(reduce=1, vertices=0, validate=0, inverse=1)
+
+
+@pytest.mark.parametrize("b, pairs, expected", frozen_cases())
+def test_warm_outputs_equal_cold_outputs(tmp_path, b, pairs, expected):
+    """Each reader on a fresh Basis against all readers on one Basis, in
+    forward and in reverse order, twice over."""
+    ops = build_readers(b.dim, tmp_path)
+    if np.linalg.cond(b.matrix) > 300.0:
+        # render_2d lists the lattice points of its window from a box of the
+        # caller's coefficients, which at cond 1e3 asks for about 8 GiB.
+        ops.pop("render_2d", None)
+    cold = {name: bits(op(mi.Basis(b.matrix))) for name, op in ops.items()}
+    for order in (list(ops), list(ops)[::-1]):
+        warm = mi.Basis(b.matrix)
+        for _ in range(2):
+            assert {name: bits(ops[name](warm)) for name in order} == cold
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_the_kept_build_is_read_only(n):
+    b = random_cond_basis(np.random.default_rng(7), n, 1e2)
+    p = voronoi._prepare(b)
+    assert voronoi._prepare(b) is p
+    assert type(p.relevant) is tuple and all(type(r) is tuple for r in p.relevant)
+    for a in (p.normals, p.vertices, p.tight, p.red.basis.inv, b.inv):
+        with pytest.raises(ValueError):
+            a[0, 0] = a[0, 0]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_outputs_own_their_arrays(n):
+    """A caller's outputs share no memory with the build every later call
+    reads, and two calls give two sets of arrays."""
+    b = random_cond_basis(np.random.default_rng(7), n, 1e2)
+    p = voronoi._prepare(b)
+    outputs = []
+    for _ in range(2):
+        vc = voronoi.voronoi_cell(b)
+        domains = cells.enumerate_ps(b)
+        outputs += [vc.normals, vc.offsets, vc.vertices, voronoi.relevant_vectors(b).cartesians]
+        outputs += [a for c in domains for a in (c.coeffs, c.basis.matrix)]
+    kept = (p.normals, p.vertices, p.tight, p.red.basis.matrix, b.matrix)
+    for k, a in enumerate(outputs):
+        assert a.flags.owndata and not a.flags.writeable
+        assert not any(np.shares_memory(a, other) for other in kept + tuple(outputs[k + 1:]))
+
+
+def test_threads_racing_on_one_basis_read_whole_builds():
+    """Threads that call the readers on fresh bases at once may each build;
+    every output equals the cold one bit for bit."""
+    rng = np.random.default_rng(11)
+    matrices = [random_cond_basis(rng, n, 1e2).matrix for n in (2, 3, 3)]
+    ops = build_readers(3, Path())
+    cold = {(k, name): bits(op(mi.Basis(m)))
+            for k, m in enumerate(matrices) for name, op in ops.items()}
+    got = []
+
+    def work(shared):
+        for k, b in enumerate(shared):
+            for name, op in ops.items():
+                got.append(((k, name), bits(op(b))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = [mi.Basis(m) for m in matrices]
+            threads = [threading.Thread(target=work, args=(shared,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 3 * 4 * len(cold)
+    assert all(cold[key] == value for key, value in got)
 
 
 # --- the array passes against the loops they replaced --------------------------
@@ -610,7 +757,7 @@ def test_screened_vertices_match_all_subsets(request, b):
     else:
         found, want = reference_build(b)
         p = voronoi._prepare(b)
-        assert p.relevant == found
+        assert p.relevant == tuple(found)
         for w, g in zip(want, (p.normals, p.vertices, p.tight)):
             assert w.shape == g.shape and np.array_equal(w, g)
 
