@@ -16,7 +16,14 @@ module name, and times on the same bases, per call:
   (``voronoi_cell``, ``copy_counts``, ``domain_extents``, ``enumerate_ps``,
   ``check_cell``, ``pairwise_distances`` on 8 seeded points, and
   ``render_2d`` to the null device, 2D only) on a ``Basis`` that every
-  reader has been called with once already.
+  reader has been called with once already;
+- in the ``cli`` group only: ``run:KIND`` (``cli.run`` in process, output
+  discarded) and ``_parse:KIND`` for each command kind of the benchmark's
+  cli workload, and ``_matrix:json|csv`` and ``_neighbors:json|csv``,
+  each command's output formatting alone: its kernel is replaced by the
+  result it gives on the command's points (a 200 x 200 distance table,
+  the hits of 100 points within 0.5), so the base tree's row-by-row "%"
+  path and the change's table writer run on the same values.
 
 Rounds interleave the two trees, and the tree that goes first alternates
 from round to round, so drifts in machine speed reach both sides alike.
@@ -35,6 +42,11 @@ The groups of bases, all seeded:
 - ``geometry``: 8 bases of condition number 10^U(0, 2), unit covolume,
   three 3D to one 2D as in the geometry workload (which goes up to 1e3,
   where the lattice points of a 2D ``render_2d`` window run to millions).
+- ``cli``: a 3D and a 2D ``dist``, ``cells`` and ``check-cell`` on bases
+  of condition number 10^U(0, 2), and ``matrix`` (JSON and CSV, 200
+  points) and ``neighbors`` (100 points, cutoff 0.5) on face-centred cubic
+  lattices in random unimodular frames, like the cli workload's skewed
+  ones; the point files go to a temporary directory.
 
 Prints one JSON object: group -> stage -> {"base", "change", "ratio"}.
 
@@ -46,15 +58,19 @@ whose ``src`` does.
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,7 +79,11 @@ FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
           "unimodular_inverse", "reduce", "min_image_distance",
           "geometry_pass", "voronoi_cell", "copy_counts", "domain_extents", "enumerate_ps",
-          "check_cell", "pairwise_distances", "render_2d")
+          "check_cell", "pairwise_distances", "render_2d",
+          *(f"{call}:{kind}" for call in ("run", "_parse")
+            for kind in ("dist-3d", "dist-2d", "cells", "check-cell", "matrix-json",
+                         "matrix-csv", "neighbors")),
+          "_matrix:json", "_matrix:csv", "_neighbors:json", "_neighbors:csv")
 
 
 def load(tree: Path, name: str):
@@ -146,15 +166,83 @@ def geometry_calls(mi, items: list) -> dict:
     return {"geometry_pass": cold, **warm}
 
 
+def cli_argvs(seed: int, tmp: Path) -> dict:
+    """Command kind -> argv, with point files written under ``tmp``."""
+    rng = np.random.default_rng((seed, 24))
+
+    def inline(values) -> str:
+        return " ".join(repr(float(x)) for x in np.asarray(values).ravel())
+
+    def lattice(n):
+        return inline(cond_matrix(rng, n, 10 ** rng.uniform(0.0, 2.0)).T)
+
+    def points(n):
+        path = tmp / f"points-{n}.json"
+        path.write_text(json.dumps({"frac": rng.random((n, 3)).tolist()}))
+        return str(path)
+
+    fcc = [inline((FCC @ unimodular(rng, 3)).T / 2 ** (1 / 3)) for _ in range(2)]
+    return {
+        "dist-3d": ["dist", "--lattice", lattice(3), "--p1", inline(rng.random(3)),
+                    "--p2", inline(rng.random(3))],
+        "dist-2d": ["dist", "--lattice", lattice(2), "--p1", inline(rng.random(2)),
+                    "--p2", inline(rng.random(2))],
+        "cells": ["cells", "--lattice", lattice(3)],
+        "check-cell": ["check-cell", "--lattice", (m := lattice(3)), "--cell", m],
+        "matrix-json": ["matrix", "--lattice", fcc[0], "--points", points(200)],
+        "matrix-csv": ["matrix", "--lattice", fcc[0], "--points", points(200),
+                       "--format", "csv"],
+        "neighbors": ["neighbors", "--lattice", fcc[1], "--points", points(100),
+                      "--cutoff", "0.5"],
+    }
+
+
+def quiet_run(cli, argv: list) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.run(argv)
+
+
+def formatted(cli, kernel: str, result, handler, args):
+    """``handler(args)`` while ``cli.<kernel>`` returns ``result``: the
+    command's output formatting without its kernel."""
+    real = getattr(cli, kernel)
+    setattr(cli, kernel, lambda *_: result)
+    try:
+        return handler(args)
+    finally:
+        setattr(cli, kernel, real)
+
+
+def cli_calls(mi, argvs: dict) -> dict:
+    """``run`` and ``_parse`` per command kind, and the formatting of the
+    matrix and neighbor outputs on their kernels' results."""
+    cli = importlib.import_module(f"{mi.__name__}.cli")
+    calls = {}
+    for kind, argv in argvs.items():
+        calls[f"run:{kind}"] = (quiet_run, [(cli, argv)])
+        calls[f"_parse:{kind}"] = (cli._parse, [(argv,)])
+    for kind, kernel, handler in (("matrix-csv", "pairwise_distances", cli._matrix),
+                                  ("neighbors", "neighbor_arrays", cli._neighbors)):
+        name, args = cli._parse(argvs[kind])
+        args = cli._resolve(args, cli.COMMANDS[name][1])
+        result = (mi.pairwise_distances(args.points) if kernel == "pairwise_distances"
+                  else mi.neighbor_arrays(args.points, args.cutoff))
+        for fmt in ("json", "csv"):
+            calls[f"{handler.__name__}:{fmt}"] = (formatted, [
+                (cli, kernel, result, handler, SimpleNamespace(**{**vars(args), "format": fmt}))])
+    return calls
+
+
 class Side:
     """One tree's stage callables, each with its argument tuples per group."""
 
     def __init__(self, mi, pool: dict):
         red = importlib.import_module(f"{mi.__name__}.reduction")
         core = importlib.import_module(f"{mi.__name__}.core")
-        self.calls = {"geometry": geometry_calls(mi, pool["geometry"])}
+        self.calls = {"geometry": geometry_calls(mi, pool["geometry"]),
+                      "cli": cli_calls(mi, pool["cli"])}
         for name, items in pool.items():
-            if name == "geometry":
+            if name in ("geometry", "cli"):
                 continue
             bases = []
             for kind, m, p1, p2 in items:
@@ -202,7 +290,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
 
-    pool = groups(args.seed)
+    tmp = tempfile.TemporaryDirectory()
+    pool = {**groups(args.seed), "cli": cli_argvs(args.seed, Path(tmp.name))}
     sides = {"base": Side(load(args.base, "minimage_base"), pool),
              "change": Side(load(args.change, "minimage_change"), pool)}
     samples = {(g, s, side): [] for g in pool for s in STAGES for side in sides
@@ -225,6 +314,7 @@ def main(argv=None) -> int:
                 report.setdefault(g, {})[stage] = {
                     "base": round(base, 5), "change": round(change, 5),
                     "ratio": round(change / base, 3)}
+    tmp.cleanup()
     print(json.dumps(report, indent=1))
     return 0
 

@@ -18,11 +18,13 @@ by SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,56 +48,140 @@ def _sig12(x: float) -> float:
     return float(_SIG12 % x)
 
 
-def _json_safe(values: np.ndarray) -> np.ndarray:
-    """True only where the text ``"%.12g" % v`` is already the JSON number
-    ``json.dumps`` writes for ``_sig12(v)``, which is ``repr(_sig12(v))``.
-
-    Let t be ``"%.12g" % v`` and x = float(t), the double nearest to t.
-    ``repr(x)`` is the shortest decimal that reads back to x.  Two decimals
-    of at most 15 significant digits never read back to the same normal
-    double, and t has at most 12, so when x is normal no shorter decimal
-    reads back to x: ``repr(x)`` has the digits of t.  The two texts then
-    differ only in layout.  Both write an exponent below 1e-4, and write it
-    alike ("1.5e-07"); but "%.12g" writes one from 1e12 up and repr only
-    from 1e16 up, and "%g" drops the ".0" of an integral value.  So t is
-    the JSON text unless v is not finite, x is subnormal or t is an
-    integer.  The test is False on a superset of those: |v| < 1e-307, and
-    v within 1e-11 |v| of an integer.  When t is an integer n, v lies
-    within half a unit of t's 12th digit of n, at most 5e-12 |v|; every
-    |v| from 5e10 up falls in the test, those written with an exponent
-    among them.  ``v - rint(v)`` is exact.
-    """
-    v = np.where(np.isfinite(values), values, 0.0)
-    a = np.abs(v)
-    return (a >= 1e-307) & (np.abs(v - np.rint(v)) > 1e-11 * a)
+# The table writer.  For a finite v in [1e-4, 1e11) with decimal exponent e
+# (10^e <= v < 10^(e+1)), "%.12g" writes the 12 digits of the integer N
+# nearest v * 10^(11 - e), with the point placed by e and trailing zeros
+# dropped.  10^(11 - e) is exact and the product, below 2^40, is rounded
+# once, so it is within 2^-13 of v * 10^(11 - e): unless its fraction lies
+# within 2.5e-4 of 1/2, rounding it picks the same N as Python's correctly
+# rounded "%.12g".  A product that rounds up to 10^12 is N = 10^11 at e + 1.
+_BLOCK = 1 << 13  # values per block, which bounds the writer's own memory
+_WIDTH = 24       # bytes per value in a block: text (at most 19), separator (at most 4)
+_EXPONENTS = range(-4, 12)
 
 
-def _json_rows(table: np.ndarray) -> list[str]:
-    """The JSON text of each row of ``table`` rounded by ``_sig12``, as
-    ``json.dumps`` writes it, with one format call per row.  A row of
-    ``_json_safe`` values is its "%.12g" text; an exact +0.0 on the
-    diagonal, as every distance matrix has, is the literal 0.0 and keeps
-    its row there.  Any other row is read back as floats and written by
-    ``json.dumps``."""
-    n = table.shape[1]
-    fmt = ", ".join([_SIG12] * n)
-    d = np.arange(min(table.shape))
-    zero = (table[d, d] == 0.0) & ~np.signbit(table[d, d])
-    safe = _json_safe(table)
-    safe[d[zero], d[zero]] = True
-    zero = zero.tolist()
-    out = []
-    for i, (row, ok) in enumerate(zip(table.tolist(), safe.all(axis=1).tolist())):
-        if not ok:
-            out.append(json.dumps([float(t) for t in (fmt % tuple(row)).split(", ")]))
-        elif i < len(zero) and zero[i]:
-            cells = [_SIG12] * n
-            cells[i] = "0.0"
-            del row[i]
-            out.append("[" + ", ".join(cells) % tuple(row) + "]")
-        else:
-            out.append("[" + fmt % tuple(row) + "]")
-    return out
+def _layout(e: int) -> tuple[int, int, int, int]:
+    """(keep, shift, fill, bits) for exponent e: with A the 12 digits and
+    then "0000" as a 16-byte little-endian integer, the text is
+    (A & keep) | ((A << bits) & shift) | fill, one byte a character."""
+    ones = (1 << 128) - 1
+    if e < 0:  # "0." and -e - 1 zeros before the digits
+        bits = 8 - 8 * e
+        return 0, ones ^ ((1 << bits) - 1), int.from_bytes(b"0." + b"0" * (-e - 1), "little"), bits
+    # e + 1 digits, the point, the rest shifted by one byte
+    return (1 << 8 * e + 8) - 1, ones ^ ((1 << 8 * e + 16) - 1), 46 << 8 * e + 8, 8
+
+
+@functools.cache
+def _sig12_tables() -> SimpleNamespace:
+    """The writer's lookup tables, built on first use."""
+    d = np.arange(48, 58, dtype=np.uint64)  # ASCII "0" to "9"
+    nz = np.arange(10) != 0
+    e = np.array(_EXPONENTS)[:, None]
+    nd = np.arange(13)
+    text = np.where(e < 0, 1 - e + nd, np.where(nd > e + 1, nd + 1, e + 1))
+    layouts = [_layout(x) for x in _EXPONENTS]
+    words = [np.array([[x[k] & (2**64 - 1), x[k] >> 64] for x in layouts], np.uint64).T
+             for k in range(3)]
+    tables = SimpleNamespace(
+        # q in [0, 10^4) -> its four digits, the first in the lowest byte
+        digits=(d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16
+                | d << 24).ravel(),
+        # q -> how many of its four digits are left when trailing zeros go
+        sig=np.select([nz, nz[:, None], nz[:, None, None], nz[:, None, None, None]],
+                      [4, 3, 2, 1], 0).ravel(),
+        scale=np.array([float(10 ** (11 - x)) for x in _EXPONENTS]),
+        keep=words[0], shift=words[1], fill=words[2],
+        bits=np.array([x[3] for x in layouts], np.uint64),
+        # (as_json, 13 (e + 4) + significant digits) -> text length; an
+        # integral JSON number ends in ".0"
+        length=np.stack([text, text + 2 * (e >= 0) * (nd <= e + 1)]).reshape(2, -1),
+        prefix=np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None],
+    )
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
+
+
+def _sig12_rule(values: list[float], as_json: bool) -> list[str]:
+    """The text of each value: "%.12g", or for JSON that decimal read back
+    as a float and written by ``json.dumps``."""
+    texts = [_SIG12 % x for x in values]
+    return json.dumps([float(x) for x in texts])[1:-1].split(", ") if as_json else texts
+
+
+def _sig12_block(v: np.ndarray, start: int, total: int, sep: str, row_len: int,
+                 row_sep: str, as_json: bool) -> str:
+    """``_sig12_text`` of the values ``v``, which start at index ``start`` of
+    ``total``, each followed by its separator but the last of all."""
+    t = _sig12_tables()
+    m = len(v)
+    fast = (v >= 1e-4) & (v < 1e11)
+    w = np.where(fast, v, 1.0)
+    k = np.clip(np.floor(np.log10(w)).astype(np.int64) + 4, 0, 15)  # e + 4
+    s = w * t.scale[k]
+    n = np.rint(s)
+    # log10 may miss e at a power of ten; s then leaves [1e11, 1e12).
+    fast &= (np.abs(s - n) < 0.49975) & (s >= 1e11) & (s < 1e12)
+    np.clip(n, 1e11, 1e12, out=n)  # keeps the digits of every other value in the tables
+    carry = n == 1e12
+    n[carry] = 1e11
+    k[carry] += 1
+    big = n.astype(np.int64)
+    q = big // 10_000
+    lo = big - q * 10_000
+    hi = q // 10_000
+    mid = q - hi * 10_000
+    nd = 8 + t.sig[lo]
+    z = np.flatnonzero(lo == 0)
+    nd[z] = np.where(mid[z] != 0, 4 + t.sig[mid[z]], t.sig[hi[z]])
+    length = t.length[int(as_json)][13 * k + nd]
+    a0 = t.digits[hi] | (t.digits[mid] << 32)
+    a1 = t.digits[lo] | np.uint64(0x30303030 << 32)  # "0000"
+    bits = t.bits[k]
+    grid = np.empty((m, 3), "<u8")  # little-endian: the first character in the lowest byte
+    grid[:, 0] = (a0 & t.keep[0][k]) | ((a0 << bits) & t.shift[0][k]) | t.fill[0][k]
+    grid[:, 1] = ((a1 & t.keep[1][k]) | (((a1 << bits) | (a0 >> (64 - bits))) & t.shift[1][k])
+                  | t.fill[1][k])
+    grid[:, 2] = a1 >> (64 - bits)
+    chars = grid.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):  # one text per distinct bit pattern
+        patterns, which = np.unique(v[slow].view(np.int64), return_inverse=True)
+        texts = _sig12_rule(patterns.view(np.float64).tolist(), as_json)
+        length[slow] = np.array([len(x) for x in texts])[which]
+        padded = np.frombuffer("".join([x.ljust(19) for x in texts]).encode(), np.uint8)
+        chars[slow, :19] = padded.reshape(-1, 19)[which]
+    flat = chars.reshape(-1)
+    at = np.arange(0, m * _WIDTH, _WIDTH) + length
+    for j, c in enumerate(sep.encode()):
+        flat[at + j] = c
+    ends = np.arange((row_len - 1 - start) % row_len, m, row_len)
+    for j, c in enumerate(row_sep.encode()):
+        flat[at[ends] + j] = c
+    length += len(sep)
+    length[ends] += len(row_sep) - len(sep)
+    if start + m == total:
+        length[-1] -= len(row_sep) if total % row_len == 0 else len(sep)
+    return chars[t.prefix[length]].tobytes().decode("ascii")
+
+
+def _sig12_text(values: np.ndarray, sep: str, row_len: int, row_sep: str,
+                as_json: bool) -> str:
+    """The values of ``values`` in order, each as ``_sig12_rule`` writes it:
+    ``sep`` between values of a row of ``row_len``, ``row_sep`` between
+    rows.  Separators are at most 4 characters.
+
+    Values in [1e-4, 1e11) are written from their digits as above; every
+    other value (zero, negative, subnormal, huge or not finite) and every
+    product near a tie goes through ``_sig12_rule``.  In that range JSON
+    and "%.12g" write the same text, but for the ".0" of an integral
+    number: the double nearest a decimal of at most 12 digits has that
+    decimal as its shortest repr, and both switch to an exponent only
+    outside the range."""
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    return "".join([_sig12_block(v[i:i + _BLOCK], i, len(v), sep, row_len, row_sep, as_json)
+                    for i in range(0, len(v), _BLOCK)])
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -316,11 +402,11 @@ def _matrix(a):
     ps = a.points
     mat = pairwise_distances(ps)
     if a.format == "csv":
-        fmt = ",".join([_SIG12] * mat.shape[1])  # one format call per row
-        out = "\n".join([fmt % tuple(row) for row in mat.tolist()])
+        out = _sig12_text(mat, ",", mat.shape[1], "\n", False)
     else:
-        out = '{"labels": %s, "distances": [%s]}' % (
-            json.dumps(list(ps.labels) if ps.labels else None), ", ".join(_json_rows(mat)))
+        out = '{"labels": %s, "distances": [[%s]]}' % (
+            json.dumps(list(ps.labels) if ps.labels else None),
+            _sig12_text(mat, ", ", mat.shape[1], "], [", True))
     return out, lambda: _check_distances(ps.basis, ps.points, [
         (i, j, mat[i, j]) for i in range(len(ps)) for j in range(i + 1, len(ps))])
 
@@ -328,15 +414,16 @@ def _matrix(a):
 def _neighbors(a):
     ps, n = a.points, a.lattice.dim
     i, j, images, d = neighbor_arrays(ps, a.cutoff)
-    # The columns i, j, t1..tn of the hits, then one format call per hit.
+    # The columns i, j, t1..tn and the distance texts of the hits, then one
+    # format call per hit.
     cols = [i.tolist(), j.tolist(), *images.T.tolist()]
+    dists = _sig12_text(d, ",", 1, ",", a.format != "csv").split(",")
     if a.format == "csv":
-        fmt = ",".join(["%d"] * (n + 2) + [_SIG12])
+        fmt = ",".join(["%d"] * (n + 2) + ["%s"])
         head = ",".join(["i", "j", *(f"t{k}" for k in range(1, n + 1)), "distance"])
-        out = "\n".join([head] + [fmt % row for row in zip(*cols, d.tolist())])
+        out = "\n".join([head] + [fmt % row for row in zip(*cols, dists)])
     else:
         fmt = '{"i": %d, "j": %d, "image": [' + ", ".join(["%d"] * n) + '], "distance": %s}'
-        dists = _json_rows(d[None, :])[0][1:-1].split(", ")
         out = '{"cutoff": %s, "count": %d, "neighbors": [%s]}' % (
             json.dumps(_sig12(a.cutoff)), len(d),
             ", ".join([fmt % row for row in zip(*cols, dists)]))
@@ -411,21 +498,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, the same one ``build_parser`` makes for it,
+    built once per process.  argparse keeps no state between parses, and
+    it reads the terminal width for help and usage each time it writes
+    them."""
+    return _add_options(argparse.ArgumentParser(prog=f"minimage {name}"), COMMANDS[name][1])
+
+
 def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
     """The command named by ``argv`` and its arguments.
 
-    When ``argv[0]`` names a command, only that command's parser is built:
-    the same parser ``build_parser`` makes for it, so help, usage and errors
-    read the same.  Left-over arguments are reported by the full parser, as
-    argparse reports them from the top level.  Any other ``argv`` (no
-    arguments, an unknown command, a top-level option) goes to the full
-    parser."""
+    When ``argv[0]`` names a command, only that command's parser is used,
+    so help, usage and errors read as from the full parser.  Left-over
+    arguments are reported by the full parser, as argparse reports them
+    from the top level.  Any other ``argv`` (no arguments, an unknown
+    command, a top-level option) goes to the full parser."""
     name = argv[0] if argv else None
     if name not in COMMANDS:
         args = build_parser().parse_args(argv)
         return args.command, args
-    parser = _add_options(argparse.ArgumentParser(prog=f"minimage {name}"), COMMANDS[name][1])
-    args, extras = parser.parse_known_args(argv[1:])
+    args, extras = _command_parser(name).parse_known_args(argv[1:])
     if extras:
         build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     return name, args

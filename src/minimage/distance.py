@@ -407,7 +407,9 @@ def neighbors_within(ps: PeriodicPointSet, cutoff: float
     i, j, img, d = neighbor_arrays(ps, cutoff)
     if not len(d):
         return []
-    _, first, which = np.unique(_image_keys(img), return_index=True, return_inverse=True)
-    vectors = np.empty(len(first), dtype=object)
-    vectors[:] = [LatticeVector(tuple(row)) for row in img[first].tolist()]
+    keys, which = np.unique(_image_keys(img), return_inverse=True)
+    rows = np.empty((len(keys), img.shape[1]), dtype=img.dtype)
+    rows[which] = img  # every row of one key is the same image
+    vectors = np.empty(len(keys), dtype=object)
+    vectors[:] = [LatticeVector(tuple(row)) for row in rows.tolist()]
     return list(zip(i.tolist(), j.tolist(), vectors[which].tolist(), d.tolist()))

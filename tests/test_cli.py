@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -825,7 +826,28 @@ def test_a_known_command_never_builds_the_full_parser(capsys, cli_dir, monkeypat
     capsys.readouterr()
 
 
-# --- number tables: 12 significant digits, one format call per row ---------
+# Each command's parser serves every later run of that command in the
+# process: with and without --verify, --format csv and the default, after
+# an argparse error or help, and at another terminal width.
+REUSED = [
+    *KNOWN_COMMAND,
+    ["matrix", "--lattice", SKEW, "--points", "pts.txt", "--verify"],
+    ["neighbors", "--lattice", "identity2", "--points", "pts.txt", "--cutoff", "0.8",
+     "--format", "csv", "--verify"],
+    ["dist", "--lattice", "identity2", "--p2", "0 0"],
+]
+
+
+def test_a_reused_parser_matches_the_full_parser(capsys, cli_dir, monkeypatch):
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in REUSED + REUSED[::-1]:
+            want = (full_parser_run(list(argv)), capsys.readouterr())
+            got = (run(list(argv)), capsys.readouterr())
+            assert got == want, (columns, argv)
+
+
+# --- number tables: 12 significant digits, one array writer -----------------
 
 def _edge_values():
     below = lambda x: np.nextafter(x, 0.0)  # noqa: E731
@@ -910,3 +932,113 @@ def test_neighbor_rows_print_twelve_significant_digits(monkeypatch):
             "neighbors": [{"i": a, "j": b, "image": img, "distance": float(f"{v:.12g}")}
                           for a, b, img, v in zip(i.tolist(), j.tolist(), images.tolist(),
                                                   d.tolist())]})) is None
+
+
+def _decade_values():
+    """A million values log-uniform over every decade from 1e-5 to 1e12,
+    and the values where the table writer's rounding or layout switches:
+    powers of ten and their neighbours, exact ties, near-ties, values that
+    round up into the next decade, and both zeros."""
+    rng = np.random.default_rng(24)
+    spread = 10.0 ** rng.uniform(-5.0, 12.0, 10**6)
+    powers = 10.0 ** np.arange(-5, 13)
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # 4097/4096 * 1e11 is exactly 100024414062.5: a tie, rounded to even.
+    ties = np.array([4097 / 4096, 4099 / 4096, 1.5, 2.5, 0.125, 1e-4 * 4097 / 4096])
+    ties = (ties[:, None] * 10.0 ** np.arange(0, 7)).ravel()
+    # The doubles nearest the 13-digit decimals that end in 5, and their
+    # neighbours: most are not ties, but many scale to an exact half.
+    halves = ((rng.integers(10**11, 10**12, (15, 20)) + 0.5)
+              / 10.0 ** (15 - np.arange(15))[:, None]).ravel()
+    halves = np.concatenate([halves, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf)])
+    round_up = 9.9999999999995 * 10.0 ** np.arange(-5, 12)
+    return spread, np.concatenate([near, ties, halves, round_up, np.nextafter(round_up, 0.0),
+                                   [0.0, -0.0]])
+
+
+def mismatch(got: str, want: str):
+    """``first_difference``, which walks both texts in Python, only once
+    they are known to differ."""
+    return None if got == want else first_difference(got, want)
+
+
+def test_the_table_writer_covers_every_decade(monkeypatch):
+    """The matrix and neighbor writers against the per-value rule on
+    values in every decade around the writer's range [1e-4, 1e11); the
+    writer itself (not the per-value rule) writes at least 99.9 % of the
+    log-uniform values in that range."""
+    spread, edges = _decade_values()
+    values = np.concatenate([spread, edges])
+    ruled = []
+    rule = cli._sig12_rule
+    monkeypatch.setattr(cli, "_sig12_rule",
+                        lambda xs, as_json: ruled.extend(xs) or rule(xs, as_json))
+    table = np.concatenate([values, np.ones(-len(values) % 1000)]).reshape(-1, 1000)
+    monkeypatch.setattr(cli, "pairwise_distances", lambda ps: table)
+    texts = [f"{v:.12g}" for v in values.tolist()]
+    numbers = json.dumps([float(t) for t in texts])[1:-1].split(", ")
+    rows = np.arange(table.size).reshape(table.shape)
+
+    inside = spread[(spread >= 1e-4) & (spread < 1e11)]
+
+    def written(out):
+        """``out``, once the per-value rule is seen to have written at most
+        0.1 % of the spread values in the writer's range."""
+        assert np.count_nonzero(np.isin(ruled, inside)) <= 1e-3 * len(inside)
+        ruled.clear()
+        return out
+
+    def matrix(fmt):
+        return written(cli._matrix(SimpleNamespace(points=SimpleNamespace(labels=None),
+                                                   format=fmt))[0])
+
+    cells = texts + ["1"] * (table.size - len(values))
+    assert mismatch(matrix("csv"), "\n".join(
+        ",".join([cells[k] for k in row]) for row in rows.tolist())) is None
+    cells = numbers + ["1.0"] * (table.size - len(values))
+    assert mismatch(matrix("json"), '{"labels": null, "distances": [%s]}' % ", ".join(
+        "[" + ", ".join([cells[k] for k in row]) + "]" for row in rows.tolist())) is None
+
+    zeros = np.zeros(len(values), dtype=np.int64)
+    images = np.zeros((len(values), 3), dtype=np.int64)
+    monkeypatch.setattr(cli, "neighbor_arrays", lambda ps, cutoff: (zeros, zeros, images, values))
+
+    def neighbors(fmt):
+        return written(cli._neighbors(SimpleNamespace(points=None, lattice=SimpleNamespace(dim=3),
+                                                      cutoff=0.75, format=fmt))[0])
+
+    assert mismatch(neighbors("csv"), "\n".join(
+        ["i,j,t1,t2,t3,distance"] + [f"0,0,0,0,0,{t}" for t in texts])) is None
+    assert mismatch(neighbors("json"), (
+        '{"cutoff": 0.75, "count": %d, "neighbors": [%s]}' % (len(values), ", ".join(
+            f'{{"i": 0, "j": 0, "image": [0, 0, 0], "distance": {t}}}' for t in numbers)))) is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_table_writer_holds_no_more_than_the_row_path(monkeypatch, fmt):
+    """Peak traced memory of a 1000 x 1000 table: the writer at most 2 MB
+    over the row-by-row "%" path it replaced, which holds the table as
+    Python floats."""
+    rng = np.random.default_rng(25)
+    table = rng.uniform(0.01, 100.0, (1000, 1000))
+    np.fill_diagonal(table, 0.0)
+    monkeypatch.setattr(cli, "pairwise_distances", lambda ps: table)
+    sep = "," if fmt == "csv" else ", "
+
+    def row_path():
+        line = sep.join(["%.12g"] * 1000)
+        rows = [line % tuple(row) for row in table.tolist()]
+        return "\n".join(rows) if fmt == "csv" else "[[" + "], [".join(rows) + "]]"
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    reference = peak(row_path)
+    writer = peak(lambda: cli._matrix(SimpleNamespace(points=SimpleNamespace(labels=None),
+                                                      format=fmt)))
+    assert writer <= reference + 2 * 2**20, (writer, reference)

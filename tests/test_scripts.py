@@ -1,5 +1,5 @@
 """Smoke runs of the scripts.  All but `stage_timings.py`, which also times
-the private stages of `reduce`, use only the public API."""
+the private stages of `reduce` and of the CLI, use only the public API."""
 
 import json
 import os
@@ -117,8 +117,13 @@ def test_stage_timings_reports_every_stage_of_both_trees():
               "min_image_distance"]
     geometry = ["geometry_pass", "voronoi_cell", "copy_counts", "domain_extents",
                 "enumerate_ps", "check_cell", "pairwise_distances", "render_2d"]
-    assert sorted(report) == ["2d", "3d", "cubic", "fcc", "geometry", "skewed_hexagonal"]
+    kinds = ["dist-3d", "dist-2d", "cells", "check-cell", "matrix-json", "matrix-csv",
+             "neighbors"]
+    cli = ([f"{call}:{kind}" for call in ("run", "_parse") for kind in kinds]
+           + ["_matrix:json", "_matrix:csv", "_neighbors:json", "_neighbors:csv"])
+    assert sorted(report) == ["2d", "3d", "cli", "cubic", "fcc", "geometry", "skewed_hexagonal"]
     for group, timings in report.items():
         want = stages + (["_selling_shortest_triples"] if group in ("3d", "cubic", "fcc") else [])
-        assert sorted(timings) == sorted(geometry if group == "geometry" else want)
+        want = {"geometry": geometry, "cli": cli}.get(group, want)
+        assert sorted(timings) == sorted(want)
         assert all(sorted(t) == ["base", "change", "ratio"] for t in timings.values())
