@@ -13,7 +13,7 @@ module name, and times on the same bases, per call:
   benchmark's geometry workload (``reduce``, ``relevant_vectors``,
   ``voronoi_cell``, ``copy_counts``, ``enumerate_ps``, ``check_cell``) on a
   new ``Basis`` per pass, and each public reader of the Voronoi build
-  (``voronoi_cell``, ``copy_counts``, ``domain_extents``, ``enumerate_ps``,
+  (``relevant_vectors``, ``voronoi_cell``, ``copy_counts``, ``domain_extents``, ``enumerate_ps``,
   ``check_cell``, ``pairwise_distances`` on 8 seeded points, and
   ``render_2d`` to the null device, 2D only) on a ``Basis`` that every
   reader has been called with once already;
@@ -78,8 +78,8 @@ HEX_2D = np.array([[1.0, -0.5], [0.0, math.sqrt(3.0) / 2.0]])
 FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
           "unimodular_inverse", "reduce", "min_image_distance",
-          "geometry_pass", "voronoi_cell", "copy_counts", "domain_extents", "enumerate_ps",
-          "check_cell", "pairwise_distances", "render_2d",
+          "geometry_pass", "relevant_vectors", "voronoi_cell", "copy_counts", "domain_extents",
+          "enumerate_ps", "check_cell", "pairwise_distances", "render_2d",
           *(f"{call}:{kind}" for call in ("run", "_parse")
             for kind in ("dist-3d", "dist-2d", "cells", "check-cell", "matrix-json",
                          "matrix-csv", "neighbors")),
@@ -150,6 +150,7 @@ def geometry_calls(mi, items: list) -> dict:
     Voronoi build on bases it has been called with once already."""
     bases = [(mi.validate_basis(m), points) for m, points in items]
     warm = {
+        "relevant_vectors": (mi.relevant_vectors, [(b,) for b, _ in bases]),
         "voronoi_cell": (mi.voronoi_cell, [(b,) for b, _ in bases]),
         "copy_counts": (mi.copy_counts, [(b, b) for b, _ in bases]),
         "domain_extents": (mi.domain_extents, [(b, b) for b, _ in bases]),

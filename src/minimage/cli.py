@@ -228,10 +228,14 @@ def _load_matrix_file(path: str) -> Basis:
         vals = np.array(data[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse '{key}' in {path}: {exc}") from None
+    if key == "columns" and vals.ndim != 2:
+        raise UsageError(f"'columns' in {path} must be a list of cell vectors")
+    n = 3 if key == "cell" else len(vals)
+    if data.get("dim", n) != n:
+        raise UsageError(f"'dim' in {path} is {data['dim']!r}, but '{key}' gives {n} "
+                         "cell vectors")
     if key == "cell":
         return _params_basis(vals, f"'cell' in {path}")
-    if vals.ndim != 2:
-        raise UsageError(f"'columns' in {path} must be a list of cell vectors")
     return validate_basis(vals.T)
 
 

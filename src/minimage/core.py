@@ -114,6 +114,8 @@ def validate_basis(matrix) -> Basis:
 
     Raises
     ------
+    ValueError
+        If the matrix is complex, even with zero imaginary parts.
     UnsupportedDimension
         If the matrix is not square with n in {2, 3}.
     SingularBasis
@@ -122,6 +124,8 @@ def validate_basis(matrix) -> Basis:
         If the columns are independent but some column's largest |entry|
         lies outside [2^-(SCALE_EXP + 1), 2^SCALE_EXP).
     """
+    if np.iscomplexobj(matrix):
+        raise ValueError("basis matrix must be real")
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
         raise UnsupportedDimension(

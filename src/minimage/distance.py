@@ -106,7 +106,7 @@ class PeriodicPointSet:
 
     ``labels``, when given, holds one string per point, in order; a single
     string, a set, a mapping or an item that is not a string raises
-    ValueError.
+    ValueError, as do complex points.
     """
 
     basis: Basis
@@ -114,6 +114,8 @@ class PeriodicPointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.points):
+            raise ValueError("points must be real")
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.basis.dim:
             raise ValueError(
@@ -182,11 +184,13 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     reported image t satisfies distance = |B (p2 + t - p1)|; it is found by
     the superbase descent of the module docstring, and among the images of
     its final scan within ``TIE_REL`` of the minimum the lexicographically
-    smallest coefficient vector is reported.  Each point needs n
-    coordinates.  A descent longer than ``_MAX_DESCENT`` steps raises
-    ``ReductionNonConvergence``.
+    smallest coefficient vector is reported.  Each point needs n real,
+    finite coordinates; others raise ValueError.  A descent longer than
+    ``_MAX_DESCENT`` steps raises ``ReductionNonConvergence``.
     """
     n = b.dim
+    if np.iscomplexobj(p1) or np.iscomplexobj(p2):
+        raise ValueError("points must be real")
     p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     if p1.shape != (n,) or p2.shape != (n,):
         raise ValueError(f"points must have {n} coordinates, got shapes "

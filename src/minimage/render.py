@@ -7,6 +7,7 @@ are test artifacts, not publication graphics.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,23 +21,28 @@ MARGIN = 0.05
 # The most cell copies a figure draws.  Each copy is one SVG polygon: a
 # block far past this is unreadable, and its time and size grow with it.
 MAX_COPIES = 10_000
+# The most rows of the integer box that lists a figure's lattice points.
+# The box grows with the lattice's skew: at cond 1e3 a window holds millions
+# of points and its SVG runs to a hundred megabytes, while random 2D
+# lattices below cond ~300 stay under this bound.
+MAX_POINTS = 1 << 20
 
 
 def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     """Write an SVG showing the cell, its copies, V, relevant vectors, and
     the reach domain (cell + V Minkowski sum).  2D only; a block of more
-    than ``MAX_COPIES`` copies raises ValueError."""
+    than ``MAX_COPIES`` copies, or a window whose lattice points need a
+    box of more than ``MAX_POINTS`` rows, raises ValueError."""
     if lattice.dim != 2:
         raise UnsupportedDimension("rendering is implemented for 2D only")
     cell = lattice if cell is None else cell
-    copies.primitive_coeffs(cell, lattice)
-    p = voronoi._prepare(lattice)
-    counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
+    counts = copies.copy_counts(cell, lattice)
     if counts.total > MAX_COPIES:
         raise ValueError(f"the block of {counts.total:,} copies is over the "
                          f"render limit of {MAX_COPIES:,}")
 
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ cell.matrix.T
+    p = voronoi._prepare(lattice)
     vverts = p.vertices[np.argsort(np.arctan2(p.vertices[:, 1], p.vertices[:, 0]), kind="stable")]
     domain = _hull(np.array([c + v for c in corners for v in vverts]))
 
@@ -54,7 +60,7 @@ def render_2d(lattice: Basis, cell: Basis | None, out) -> Path:
     def poly(points, style):
         return f'<polygon points="{" ".join(xy(p) for p in points)}" style="{style}"/>'
 
-    relevant = voronoi._in_basis(lattice, p.red, p.relevant).coeff_set()
+    relevant = voronoi.relevant_vectors(lattice).coeff_set()
     coeffs, latpts = _lattice_points(lattice, lo, hi)
 
     parts = [
@@ -108,11 +114,19 @@ def _hull(points: np.ndarray) -> np.ndarray:
 
 def _lattice_points(lattice: Basis, lo: np.ndarray, hi: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and points of the lattice points in the window [lo, hi]:
-    the symmetric box one layer beyond every window corner's fractional
-    coordinates holds them all."""
-    fr = np.array(list(itertools.product(*zip(lo, hi)))) @ lattice.inv.T
-    z = int_box(np.ceil(np.abs(fr).max(axis=0)).astype(np.int64) + 1)
+    """Coefficients and points of the lattice points in the window [lo, hi],
+    in ``int_box`` order: the symmetric box of the kept reduced basis one
+    layer beyond every window corner's fractional coordinates holds them all.
+    A box of more than ``MAX_POINTS`` rows raises ValueError."""
+    red = voronoi._prepare(lattice).red
+    fr = np.array(list(itertools.product(*zip(lo, hi)))) @ red.basis.inv.T
+    layers = np.ceil(np.abs(fr).max(axis=0)).astype(np.int64) + 1
+    rows = math.prod(2 * int(m) + 1 for m in layers)
+    if rows > MAX_POINTS:
+        raise ValueError(f"the window's lattice points need a box of {rows:,} rows, over "
+                         f"the render limit of {MAX_POINTS:,}")
+    z = int_box(layers) @ red.transform.T
+    z = z[np.lexsort(z.T[::-1])]
     p = matvecs(lattice.matrix, z)
     inside = np.all((p >= lo) & (p <= hi), axis=1)
     return z[inside], p[inside]

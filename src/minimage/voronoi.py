@@ -15,10 +15,11 @@ vertices however small it is, and no lattice raises DegenerateCell.
 
 ``_prepare`` builds this once per ``Basis`` object, from one reduction,
 and keeps the read-only build on it, as ``Basis`` keeps ``det`` and
-``inv``: every public operation on that object reads the same vertex set,
-and a second ``Basis`` of the same matrix builds again.  Only
-``voronoi_cell`` measures the facets, in one pass over (facet, tight
-vertex) arrays.
+``inv``: every public reader on that object reads the same build, and a
+second ``Basis`` of the same matrix builds again.  ``relevant_vectors``
+restates the kept relevant vectors in the caller's coordinates, and every
+other restatement goes through it.  Only ``voronoi_cell`` measures the
+facets, in one pass over (facet, tight vertex) arrays.
 """
 
 from __future__ import annotations
@@ -200,24 +201,18 @@ def _vertices(carts: np.ndarray, facets: np.ndarray, edges: np.ndarray):
     return normals, verts[least], tight[first[v[least]]]
 
 
-def _in_basis(b: Basis, red: reduction.ReducedBasis, rel) -> RelevantVectorSet:
-    """Relevant vectors given in reduced coordinates, restated in ``b``."""
-    t = canonical_rows(np.array(rel) @ red.transform.T)
-    order, carts = _by_norm(b.matrix, t)
-    return RelevantVectorSet(vectors=tuple(LatticeVector(tuple(r)) for r in t[order].tolist()),
-                             cartesians=carts)
-
-
 def relevant_vectors(b: Basis) -> RelevantVectorSet:
     """Compute the Voronoi-relevant vectors of the lattice of ``b``.
 
-    The basis is reduced internally and the relevant subset sums of its
-    obtuse superbase are taken; the vectors are reported in the
-    coordinates of ``b``.
+    They are the relevant subset sums of the obtuse superbase that the
+    shared build of ``b`` keeps in reduced coordinates, restated in the
+    coordinates of ``b``; the first reader of a ``Basis`` makes the build.
     """
-    red = reduction.reduce(b)
-    sums, facets, _ = _relevant_sets(red)
-    return _in_basis(b, red, sums[facets])
+    p = _prepare(b)
+    t = canonical_rows(np.array(p.relevant) @ p.red.transform.T)
+    order, carts = _by_norm(b.matrix, t)
+    return RelevantVectorSet(vectors=tuple(LatticeVector(tuple(r)) for r in t[order].tolist()),
+                             cartesians=carts)
 
 
 def voronoi_cell(b: Basis) -> VoronoiCell:
@@ -228,7 +223,7 @@ def voronoi_cell(b: Basis) -> VoronoiCell:
     to the origin, an independent check against |det B|.
     """
     p = _prepare(b)
-    rel = _in_basis(b, p.red, p.relevant)
+    rel = relevant_vectors(b)
     normals = np.vstack([rel.cartesians, -rel.cartesians])
     areas = _facet_measures(p.vertices, p.tight, p.normals)
     volume = np.sum(areas * (0.5 * np.linalg.norm(p.normals, axis=1))) / b.dim

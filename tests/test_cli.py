@@ -140,6 +140,23 @@ def test_malformed_lattice_file_is_usage_error(capsys, tmp_path, content):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("dim, key, values, n", [
+    (3, "columns", [[1, 0], [0, 1]], 2),
+    (2, "columns", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+    (2, "cell", [1, 1, 1, 90, 90, 90], 3),
+])
+def test_a_dim_that_disagrees_with_the_file_is_usage_error(capsys, tmp_path, dim, key,
+                                                           values, n):
+    # The "dim" key was once never read: the first case printed a 2D result.
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps({"dim": dim, key: values}))
+    code = run(["reduce", "--lattice-file", str(lat)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"usage error: 'dim' in {lat} is {dim}, but '{key}' gives "
+                            f"{n} cell vectors\n")
+
+
 def test_output_is_byte_identical(capsys):
     argv = ["voronoi", "--lattice", "1 0 -0.5 0.8660254037844386"]
     assert run(argv) == 0
@@ -865,8 +882,10 @@ def _planted_values():
 def first_difference(got: str, want: str):
     """None when the texts are equal, else where they first differ; keeps
     a failure's report short."""
+    if got == want:
+        return None
     k = len(os.path.commonprefix([got, want]))
-    return None if got == want else (k, got[k:k + 80], want[k:k + 80])
+    return k, got[k:k + 80], want[k:k + 80]
 
 
 def test_table_rows_print_twelve_significant_digits(monkeypatch):

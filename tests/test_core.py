@@ -200,6 +200,13 @@ def test_non_finite_rejected():
         mi.validate_basis(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1 + 3j, 1 + 0j])
+def test_complex_basis_rejected(scale):
+    # np.asarray(..., dtype=float) once dropped the imaginary part with a warning.
+    with pytest.raises(ValueError, match="must be real"):
+        mi.validate_basis(np.eye(2) * scale)
+
+
 def test_basis_matrix_is_immutable():
     b = mi.validate_basis(np.eye(2))
     with pytest.raises(ValueError):

@@ -498,6 +498,21 @@ def test_min_image_distance_rejects_non_finite_points(identity2, bad):
         mi.min_image_distance(identity2, [0.1, 0.1], [0.9, -bad])
 
 
+def test_min_image_distance_rejects_complex_points(identity2):
+    # np.asarray(..., dtype=float) once answered for the real parts.
+    z = np.array([0.1 + 5j, 0.2])
+    with pytest.raises(ValueError, match="must be real"):
+        mi.min_image_distance(identity2, z, [0.9, 0.1])
+    with pytest.raises(ValueError, match="must be real"):
+        mi.min_image_distance(identity2, [0.9, 0.1], z)
+
+
+def test_point_set_rejects_complex_points(identity2):
+    # np.asarray(..., dtype=float) once stored [[0.1, 0.2]].
+    with pytest.raises(ValueError, match="must be real"):
+        mi.PeriodicPointSet(identity2, np.array([[0.1 + 5j, 0.2]]))
+
+
 def test_point_set_rejects_nan_points(identity2):
     with pytest.raises(ValueError, match="finite"):
         mi.PeriodicPointSet(identity2, [[0.1, 0.2], [math.nan, 0.4]])

@@ -1,10 +1,16 @@
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import minimage as mi
+from minimage import core, render
 from minimage.render import _hull, _lattice_points
+
+FROZEN = Path(__file__).with_name("frozen_outputs.json")
 
 
 def test_hull_square_with_interior_point():
@@ -33,6 +39,24 @@ def test_render_refuses_a_block_over_its_copy_limit(tmp_path, identity2):
     cell = mi.validate_basis(np.array([[1.0, 3e5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="900,009 copies"):
         mi.render_2d(identity2, cell, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("case", ["2d-cond1000-0", "2d-cond1000-1"])
+def test_render_refuses_a_window_over_its_point_limit(monkeypatch, tmp_path, case):
+    """At cond 1e3 the window's lattice points need a box of 3.0e6 and 1.1e6
+    rows in the reduced basis (1.6e9 and 5.7e8 in the caller's
+    coefficients); the figure is refused before any such box is built."""
+    def bounded(layers, *args):
+        rows = math.prod(2 * int(m) + 1 for m in layers)
+        assert rows <= render.MAX_POINTS, f"int_box asked for {rows:,} rows"
+        return core.int_box(layers, *args)
+
+    monkeypatch.setattr(render, "int_box", bounded)
+    rec = next(c for c in json.loads(FROZEN.read_text()) if c["id"] == case)
+    b = mi.validate_basis(np.array([float.fromhex(x) for x in rec["basis"]]).reshape(2, 2))
+    with pytest.raises(ValueError, match="render limit of 1,048,576"):
+        mi.render_2d(b, None, tmp_path / "x.svg")
     assert not (tmp_path / "x.svg").exists()
 
 

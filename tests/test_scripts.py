@@ -30,12 +30,23 @@ SHRINK_100_DIGESTS = {
     "neighbors_within@2.5": "e6cd4a277192903c1adcfd6683ed650b382dc879c038254d975d1541eaef1196",
 }
 
-# The digests `output_digest.py --seed 0 --only reduce,min_image_distance`
-# prints on the full corpus of 1,501 bases, frozen: the reduction and the
-# single-pair distance keep every output bit on every basis.
+# The digests `output_digest.py --seed 0` prints on the full corpus of
+# 1,501 bases, frozen: every public operation keeps every output bit on
+# every basis.
 FULL_CORPUS_DIGESTS = {
     "reduce": "d1241c0143f4d136741058fe091cd0be31afc8508701b903cdf5ca9cdc1e585f",
+    "is_reduced": "1c9f993dbda51d65c37cb67f1d11a6df24fecd519f1aa4f4171a2c11259ce3e5",
+    "relevant_vectors": "8902b2dd9505f491dade5b61f37be50ed59160feb7bdf64db2c1242797631ce0",
+    "voronoi_cell": "2472f56056668671c7c5960dadf007139a60c19bb1c144a106bfd3495e262ef4",
+    "frac_extents": "cd9541713a464aa53d847c4d2ddb944f34a3dc688b2aad5dea798eab2f783dc3",
+    "domain_extents": "1d31911aa5c1f981d1f8b36054de46499dcd360779b19abf9d395b4af18a40e1",
+    "copy_counts": "344ac2056ea39f88a23b5335dab5b43448a1f4adf4b89c83db329c92200d587d",
+    "enumerate_ps": "87bc8b56e1c65af9e197bb78a0e8ddf02f24290b4ac189759ddac174e3fe4d3b",
+    "check_cell": "638e450139fd5048283bc3bf881cb90a6a30c254c42ce341f01857c6bbe015b1",
     "min_image_distance": "f3f720bddd614eb7fa8865bee7787191c78a028e2a89bb00ad1cf6a8e3588877",
+    "pairwise_distances": "2e1c4a7218bf279dd37bb2dd14b499aa45d7726d3dfd47bed9ad66bdc3762178",
+    "neighbors_within@1": "94998e80c83435bfb002595f08942c60e50db0f6510dd2075f00385483abc625",
+    "neighbors_within@2.5": "67208ee74fba022cd3d5b9bbe50a520d215374eb2c3959a8b9dca3928ef94982",
 }
 
 # The digests `cli_digest.py --shrink 10` prints, frozen: any change to the
@@ -91,8 +102,8 @@ def test_output_digest_only_prints_the_full_runs_digest():
     assert digests == [f"{'min_image_distance':20s} {SHRINK_100_DIGESTS['min_image_distance']}"]
 
 
-def test_full_corpus_reduce_and_distance_digests_are_frozen():
-    proc = run_script("output_digest.py", "--seed", "0", "--only", "reduce,min_image_distance")
+def test_full_corpus_digests_are_frozen():
+    proc = run_script("output_digest.py", "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     head, *digests = proc.stdout.splitlines()
     assert head.startswith("1501 bases, seed 0, ")
@@ -115,8 +126,8 @@ def test_stage_timings_reports_every_stage_of_both_trees():
     report = json.loads(proc.stdout)
     stages = ["_gauss_columns", "_ranked_config", "unimodular_inverse", "reduce",
               "min_image_distance"]
-    geometry = ["geometry_pass", "voronoi_cell", "copy_counts", "domain_extents",
-                "enumerate_ps", "check_cell", "pairwise_distances", "render_2d"]
+    geometry = ["geometry_pass", "relevant_vectors", "voronoi_cell", "copy_counts",
+                "domain_extents", "enumerate_ps", "check_cell", "pairwise_distances", "render_2d"]
     kinds = ["dist-3d", "dist-2d", "cells", "check-cell", "matrix-json", "matrix-csv",
              "neighbors"]
     cli = ([f"{call}:{kind}" for call in ("run", "_parse") for kind in kinds]
