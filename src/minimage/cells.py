@@ -2,10 +2,10 @@
 
 Candidates are parallelepipeds spanned by n Voronoi-relevant vectors whose
 coefficient matrix is unimodular and whose reach extents stay within one
-extra layer per axis.  One predicate tests a stack of coefficient matrices
-in one array pass: every n-subset for ``enumerate_ps``, and for
-``check_cell`` the one key, so membership needs no enumeration.  Column
-sign flips and permutations produce lattice translates of the same
+extra layer per axis; ``enumerate_ps`` tests every n-subset in one array
+pass.  ``check_cell`` enumerates nothing: a cell is a member iff its own
+extents are within one layer and its key's columns are relevant vectors.
+Column sign flips and permutations produce lattice translates of the same
 parallelepiped, so candidates are stored by a canonical key
 (sign-normalized columns, sorted).
 """
@@ -60,12 +60,14 @@ def canonical_cell_key(coeff_columns) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_ps(lattice: Basis) -> list[CellBasisCandidate]:
-    """All fundamental domains of the lattice needing only 3^n copies.
+    """The fundamental domains spanned by n relevant vectors that need only
+    3^n copies.
 
     For a generic lattice (strictly obtuse reduced basis, no relevant-vector
-    ties) this returns 3 domains in 2D and at most 16 in 3D, fewer as
-    anisotropy pushes some spanning triples past one layer; ties remove
-    relevant vectors and change the count.
+    ties) these are 3 domains in 2D and at most 16 in 3D, fewer as
+    anisotropy pushes some spanning triples past one layer.  On exactly
+    tied lattices other sufficient cells exist and are left out: the cube
+    gives 1 cell, yet (e1, e2, e1 + e3) also needs only 3^3 copies.
     """
     return _domains(voronoi._prepare(lattice))
 
@@ -75,35 +77,31 @@ def _domains(p: voronoi._Prepared) -> list[CellBasisCandidate]:
     rel = np.array(sorted(p.relevant))
     subsets = rel[list(itertools.combinations(range(len(rel)), p.red.basis.dim))]
     zs = subsets.transpose(0, 2, 1)
-    return [CellBasisCandidate(coeffs=zs[k], basis=Basis(p.red.basis.matrix @ zs[k]),
-                               canonical_key=tuple(map(tuple, subsets[k].tolist())))
-            for k in np.flatnonzero(_sufficient(p, zs))]
-
-
-def _sufficient(p: voronoi._Prepared, zs: np.ndarray) -> np.ndarray:
-    """Which coefficient matrices z of a stack are unimodular and give a
-    cell rm @ z whose Voronoi extents are within one layer per axis."""
+    # Unimodular subsets whose cell rm @ z has extents within one layer per axis.
     ok = np.abs(int_dets(zs)) == 1
     inv = np.linalg.inv(p.red.basis.matrix @ zs[ok])
     ok[ok] = copies.sufficient_from_extents(voronoi._reach(p.vertices, inv))
-    return ok
+    return [CellBasisCandidate(coeffs=zs[k], basis=Basis(p.red.basis.matrix @ zs[k]),
+                               canonical_key=tuple(map(tuple, subsets[k].tolist())))
+            for k in np.flatnonzero(ok)]
 
 
 def check_cell(cell: Basis, lattice: Basis) -> CellCheckReport:
     """Report whether a primitive cell supports the 3^n-copy shortcut.
 
-    It is in ``enumerate_ps`` iff the columns of its key are relevant
-    vectors that ``_sufficient`` accepts.  Raises NotAPrimitiveCell if the
-    cell does not span the full lattice.
+    It is in ``enumerate_ps`` iff it is sufficient and the columns of its
+    key are relevant vectors; the extents are the report's own, read once.
+    Raises NotAPrimitiveCell if the cell does not span the full lattice.
     """
     w = copies.primitive_coeffs(cell, lattice)
     p = voronoi._prepare(lattice)
     counts = copies.counts_from_extents(voronoi.frac_extents(p, cell))
     key = canonical_cell_key(p.red.inverse @ w)
+    sufficient = bool(copies.sufficient_from_extents(counts.h))
     return CellCheckReport(
-        sufficient=bool(copies.sufficient_from_extents(counts.h)),
+        sufficient=sufficient,
         counts=counts,
-        ps_member=set(key) <= set(p.relevant) and bool(_sufficient(p, np.array(key).T[None])[0]),
+        ps_member=sufficient and set(key) <= set(p.relevant),
         cell_reduced=reduction.is_reduced(cell),
         coeffs_key=key,
     )

@@ -1,6 +1,7 @@
 """Brute-force reference implementations, deliberately simple and slow.
 
-These are correctness anchors for tests and for the CLI --verify flag.
+These are correctness anchors for tests and for the CLI --verify flag,
+which uses all of them but ``minimality_witness``.
 They share only the lattice-core transforms with the fast paths: no basis
 reduction, no superbases, just exhaustive enumeration over coefficient
 boxes.  Every box a check searches is sized here by ``certified_layers``
@@ -18,7 +19,8 @@ column.  Sizing a box that one check would search over more than
 ORACLE_BUDGET lattice points raises OracleBudgetExceeded, before anything
 is allocated.  A box the caller passes in is searched as given, in chunks,
 so memory stays bounded whatever its size.  Only ``minimality_witness``
-sizes its blocks from copy counts, which it tests by design.
+sizes its blocks from copy counts, which it tests by design, and it builds
+its pair from a vertex of the Voronoi cell instead of searching for one.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from .voronoi import RelevantVectorSet
 from . import copies as copies_mod
 from . import voronoi as voronoi_mod
 
-# Grid resolution per axis for the witness search; odd so the cell center
-# is sampled.  Misses are backstopped by the injected Voronoi vertex images.
-WITNESS_GRID = 33
+# Least gap a minimality witness must show.
 WITNESS_GAP = 1e-9
 # Most lattice points one certified check may evaluate: in 3D well under a
 # second, and at most about 90 MB where a box is held whole.
@@ -193,43 +193,42 @@ def block_counterexample(cell: Basis, layers):
 
 
 def minimality_witness(cell: Basis, lattice: Basis, axis: int):
-    """Search for a point pair that breaks the block with one layer removed.
+    """A point pair that the block with one layer removed on ``axis`` gets
+    wrong, as (p1, p2, gap), or None; ValueError for an axis outside range(n).
 
-    Returns (p1, p2, gap) where the distance computed with layers[axis] - 1
-    layers on the given axis exceeds the true distance by gap > 1e-9, or
-    None if no witness is found.  Candidate pairs come from images of the
-    Voronoi cell's vertices (nudged inward, since exact vertex pairs are
-    distance ties) and from all pairs of a per-axis fractional grid.
+    gap is the distance over the block of ``copy_counts`` with one layer
+    fewer on ``axis``, less the distance over the full block, both
+    brute-forced, and must exceed WITNESS_GAP.  The pair is built, not searched for: in
+    the cell's fractional coordinates x is the first vertex of the Voronoi
+    cell V with |x_axis| = h_axis = h, signed so that x_axis = h.  With m =
+    layers[axis] and eta = min(1e-3, (h - m + 1) / (2 h)), y = (1 - eta) x
+    lies inside V; t_axis = m, t_j = round(y_j) elsewhere, d = y - t, p1 =
+    max(0, -d) and p2 = p1 + d.  For lattice u != 0, |B(y + u)|^2 - |B y|^2
+    >= eta |B u|^2 (x in V gives 2 Bx . Bu >= -|B u|^2), so t is the unique
+    minimal image of the pair: the full block holds it, the restricted one
+    does not, and the gap is positive.  It is at most WITNESS_GAP, giving
+    None, only when h is barely above m - 1, where eta vanishes.
 
-    When layers[axis] == 1 the reduced block has no copies at all along
-    that axis, and a witness is almost always found.  Its gap then shows
-    only that zero layers on that axis fail; it says nothing about whether
-    the 3^n block (one layer per axis) is sufficient.  Check that claim
-    directly, for example against a larger block.
+    When layers[axis] == 1 the restricted block has no copies along that
+    axis: the gap shows only that zero layers fail there, not that the 3^n
+    block suffices; check that against a larger block.
     """
+    if axis not in range(cell.dim):
+        raise ValueError(f"axis must be in range({cell.dim}), got {axis!r}")
     counts = copies_mod.copy_counts(cell, lattice)
-    n = cell.dim
-    full = int_box(counts.layers)
-    restricted_layers = list(counts.layers)
-    restricted_layers[axis] -= 1
-    restricted = int_box(restricted_layers)
-    m = cell.matrix
-    vc = voronoi_mod.voronoi_cell(lattice)
-    vertex_fracs = vc.vertices @ np.linalg.inv(m).T
-    deltas = []
-    for scale in (1.0, 1.0 - 1e-3, 1.0 - 1e-2, 0.9):
-        base = vertex_fracs * scale
-        frac = base - np.floor(base)
-        for shift in itertools.product((0.0, -1.0), repeat=n):
-            deltas.append(frac + np.array(shift))
-    deltas = np.vstack(deltas + [int_box((WITNESS_GRID - 1,) * n) / WITNESS_GRID])
-    chunk = max(1, 200_000 // len(full))
-    for start in range(0, len(deltas), chunk):
-        part = deltas[start:start + chunk]
-        res_d, true_d = _block_minima(m, part, restricted, full)
-        hits = np.flatnonzero(res_d - true_d > WITNESS_GAP)
-        if len(hits):
-            k = int(hits[0])
-            p1 = np.maximum(0.0, -part[k])
-            return p1, p1 + part[k], float(res_d[k] - true_d[k])
-    return None
+    # The product copy_counts maximises, so x_axis carries the bits of h.
+    fracs = voronoi_mod.voronoi_cell(lattice).vertices @ cell.inv.T
+    x = fracs[np.argmax(np.abs(fracs[:, axis]))]
+    x = -x if x[axis] < 0 else x
+    h, m = counts.h[axis], counts.layers[axis]
+    y = (1.0 - min(1e-3, (h - m + 1) / (2 * h))) * x
+    t = np.rint(y)
+    t[axis] = m
+    d = y - t
+    restricted = list(counts.layers)
+    restricted[axis] -= 1
+    res_d, true_d = _block_minima(cell.matrix, d[None], int_box(restricted),
+                                  int_box(counts.layers))
+    gap = float(res_d[0] - true_d[0])
+    p1 = np.maximum(0.0, -d)
+    return (p1, p1 + d, gap) if gap > WITNESS_GAP else None

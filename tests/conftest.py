@@ -44,8 +44,8 @@ NO_OBTUSE_SHORTEST_3D = np.array([
 
 # A 3D lattice whose fully reduced basis (shortest, all pairwise inner
 # products <= 0) still has a reach extent h = 1.0319 > 1: the plain 3^3
-# image block returns a wrong distance for some pairs (the first pair
-# `oracle.minimality_witness` finds is off by 2.5e-6).
+# image block returns a wrong distance for some pairs (the pair
+# `oracle.minimality_witness` constructs on axis 0 is off by 2.5e-6).
 REDUCED_BUT_H_ABOVE_1 = np.array([
     [0.13125135, -0.35959709, -0.04705178],
     [0.09806472, -0.24771099, -0.06635602],

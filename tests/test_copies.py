@@ -123,8 +123,8 @@ def test_reduced_cells_need_one_layer():
 def test_anisotropic_3d_reduced_cell_can_need_two_layers():
     """Counterexample kept frozen: a fully reduced basis with h > 1.
 
-    The 3^3 block is then insufficient; the witness search exhibits a pair
-    whose block distance is strictly wrong."""
+    The 3^3 block is then insufficient; the constructed minimality witness
+    is a pair whose block distance is strictly wrong."""
     b = mi.validate_basis(REDUCED_BUT_H_ABOVE_1)
     red = mi.reduce(b)
     assert mi.is_reduced(red.basis)

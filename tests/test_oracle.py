@@ -114,6 +114,57 @@ def test_witness_pair_is_valid(identity2):
     assert cc.layers[0] == 3
 
 
+
+def _witness_cases():
+    """Seeded 2D and 3D lattices, each with its reduced cell (mostly one
+    layer per axis) and a sheared cell (some axis with two or more)."""
+    rng = np.random.default_rng(64)
+    for i in range(12):
+        n = 2 if i % 3 == 0 else 3
+        lat = random_cond_basis(rng, n, 10 ** rng.uniform(0, 1))
+        red = mi.reduce(lat).basis
+        shear = np.eye(n, dtype=np.int64)
+        j, k = rng.choice(n, size=2, replace=False)
+        shear[j, k] = int(rng.integers(2, 5)) * (1 if rng.random() < 0.5 else -1)
+        yield red, lat
+        yield mi.validate_basis(red.matrix @ shear), lat
+
+
+def test_constructed_witness_on_every_kind_of_axis():
+    """The witness pair needs exactly m_axis layers: its brute-force image
+    sits at |t_axis| = m_axis, the fast path agrees, and the gap is the
+    excess of an independently built restricted block."""
+    import itertools
+
+    kinds = set()
+    for cell, lat in _witness_cases():
+        layers = mi.copy_counts(cell, lat).layers
+        for axis in range(cell.dim):
+            kinds.add((cell.dim, min(layers[axis], 2)))
+            hit = mi.oracle.minimality_witness(cell, lat, axis)
+            assert hit is not None, (cell.matrix.tolist(), axis)
+            p1, p2, gap = hit
+            assert gap > mi.oracle.WITNESS_GAP
+            fast = mi.min_image_distance(cell, p1, p2)
+            box = mi.oracle.certified_layers(cell, fast.distance, p2 - p1)
+            slow = mi.oracle.brute_distance(cell, p1, p2, box)
+            assert abs(slow.image.coeffs[axis]) == layers[axis]
+            assert abs(fast.distance - slow.distance) <= 1e-12 * slow.distance
+            short = [range(-m, m + 1) for m in layers]
+            short[axis] = range(-layers[axis] + 1, layers[axis])
+            restricted = np.array(list(itertools.product(*short)), dtype=float)
+            cart = (np.asarray(p2) - np.asarray(p1) + restricted) @ cell.matrix.T
+            res_d = np.linalg.norm(cart, axis=1).min()
+            assert res_d - slow.distance == pytest.approx(gap, rel=1e-9)
+    assert kinds == {(2, 1), (2, 2), (3, 1), (3, 2)}
+
+
+@pytest.mark.parametrize("axis", [-1, 2, 5])
+def test_witness_rejects_an_axis_outside_the_cell(identity2, axis):
+    with pytest.raises(ValueError, match="axis"):
+        mi.oracle.minimality_witness(identity2, identity2, axis)
+
+
 # --- certified boxes and the work budget --------------------------------------
 
 TILTED_2D = np.array([[1.0, 10.3], [0.0, 1.0]])  # columns (1, 0), (10.3, 1)
