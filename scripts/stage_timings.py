@@ -9,6 +9,9 @@ module name, and times on the same bases, per call:
   inputs to that stage;
 - ``reduce`` itself;
 - ``min_image_distance`` on one seeded pair of points per basis;
+- in the ``fcc`` and ``2d`` groups only: ``pairwise_distances:200`` and
+  ``pairwise_distances:800``, the distance matrix of 200 and 800 seeded
+  points per basis;
 - in the ``geometry`` group only: ``geometry_pass``, the calls of the
   benchmark's geometry workload (``reduce``, ``relevant_vectors``,
   ``voronoi_cell``, ``copy_counts``, ``enumerate_ps``, ``check_cell``) on a
@@ -76,8 +79,12 @@ import numpy as np
 
 HEX_2D = np.array([[1.0, -0.5], [0.0, math.sqrt(3.0) / 2.0]])
 FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+# The groups whose bases also time distance matrices, and their sizes.
+MATRIX_GROUPS = ("fcc", "2d")
+MATRIX_SIZES = (200, 800)
 STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
           "unimodular_inverse", "reduce", "min_image_distance",
+          *(f"pairwise_distances:{npts}" for npts in MATRIX_SIZES),
           "geometry_pass", "relevant_vectors", "voronoi_cell", "copy_counts", "domain_extents",
           "enumerate_ps", "check_cell", "pairwise_distances", "render_2d",
           *(f"{call}:{kind}" for call in ("run", "_parse")
@@ -237,7 +244,7 @@ def cli_calls(mi, argvs: dict) -> dict:
 class Side:
     """One tree's stage callables, each with its argument tuples per group."""
 
-    def __init__(self, mi, pool: dict):
+    def __init__(self, mi, pool: dict, seed: int):
         red = importlib.import_module(f"{mi.__name__}.reduction")
         core = importlib.import_module(f"{mi.__name__}.core")
         self.calls = {"geometry": geometry_calls(mi, pool["geometry"]),
@@ -267,8 +274,14 @@ class Side:
                     (red._ranked_config(vecs, carts, n2, sets),))
             stages["reduce"] = [(b,) for b, _, _ in bases]
             stages["min_image_distance"] = bases
+            if name in MATRIX_GROUPS:
+                for npts in MATRIX_SIZES:
+                    rng = np.random.default_rng((seed, npts))
+                    stages[f"pairwise_distances:{npts}"] = [
+                        (mi.PeriodicPointSet(b, rng.random((npts, b.dim))),) for b, _, _ in bases]
             fns = {"unimodular_inverse": core.unimodular_inverse, "reduce": red.reduce,
-                   "min_image_distance": mi.min_image_distance}
+                   "min_image_distance": mi.min_image_distance,
+                   **{f"pairwise_distances:{npts}": mi.pairwise_distances for npts in MATRIX_SIZES}}
             self.calls[name] = {
                 stage: (fns.get(stage) or getattr(red, stage), args)
                 for stage, args in stages.items() if args}
@@ -293,8 +306,8 @@ def main(argv=None) -> int:
 
     tmp = tempfile.TemporaryDirectory()
     pool = {**groups(args.seed), "cli": cli_argvs(args.seed, Path(tmp.name))}
-    sides = {"base": Side(load(args.base, "minimage_base"), pool),
-             "change": Side(load(args.change, "minimage_change"), pool)}
+    sides = {"base": Side(load(args.base, "minimage_base"), pool, args.seed),
+             "change": Side(load(args.change, "minimage_change"), pool, args.seed)}
     samples = {(g, s, side): [] for g in pool for s in STAGES for side in sides
                if s in sides[side].calls[g]}
     for r in range(args.rounds):

@@ -12,7 +12,7 @@ from conftest import (FCC, HEX_2D, NO_OBTUSE_SHORTEST_3D, REDUCED_BUT_H_ABOVE_1,
                       random_cond_basis, random_obtuse_2d, random_obtuse_3d, random_unimodular,
                       skewed_basis)
 from test_shared_build import equivalence_bases
-from minimage import cli, distance
+from minimage import cli, distance, voronoi
 from minimage.core import LatticeVector, int_box, unimodular_inverse, wrap_frac
 
 
@@ -235,13 +235,16 @@ def test_point_set_labels_must_be_strings(identity2, labels):
 
 
 def reference_pairwise(ps):
-    """All pairs and all images at once, squares summed by ``sum(-1)``."""
+    """Every pair and every image of the whole block, one row at a time,
+    squares summed by ``sum(-1)``."""
     red, t = distance._reduced_search_block(ps.basis)
     rm = red.basis.matrix
     cart = wrap_frac(ps.points @ unimodular_inverse(red.transform).T) @ rm.T
-    diff = (cart[None, :, None, :] - cart[:, None, None, :]
-            + (t @ rm.T)[None, None, :, :])
-    out = np.sqrt((diff ** 2).sum(axis=-1)).min(axis=-1)
+    shifts = t @ rm.T
+    out = np.empty((len(cart), len(cart)))
+    for i, c in enumerate(cart):
+        diff = cart[:, None, :] - c + shifts[None, :, :]
+        out[i] = np.sqrt((diff ** 2).sum(axis=-1)).min(axis=-1)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -314,6 +317,144 @@ def test_row_ranges_cover_the_triangle_within_the_chunk(npts):
     for start, stop in ranges:
         assert stop - start == min(npts - start, max(1, distance._CHUNK // (npts - start)))
         assert stop - start == 1 or (stop - start) * (npts - start) <= distance._CHUNK
+
+
+# --- the binned matrix kernel --------------------------------------------------
+
+
+@pytest.mark.parametrize("b, pts, cutoff", kernel_cases())
+def test_binned_matrix_matches_reference_exactly(b, pts, cutoff, monkeypatch):
+    # One point per bin is enough: every case with 2^n points or more takes
+    # the bins, empty ones included.
+    monkeypatch.setattr(distance, "_BIN_MIN", 1)
+    ps = mi.PeriodicPointSet(b, pts)
+    assert np.array_equal(mi.pairwise_distances(ps), reference_pairwise(ps))
+
+
+def test_binned_matrix_chunks_rows_exactly(monkeypatch):
+    rng = np.random.default_rng(56)
+    b = random_cond_basis(rng, 3, 20.0)
+    ps = mi.PeriodicPointSet(b, rng.random((60, 3)))
+    monkeypatch.setattr(distance, "_BIN_MIN", 1)
+    whole = mi.pairwise_distances(ps)
+    monkeypatch.setattr(distance, "_CHUNK", 40)  # several row chunks per bin pair
+    assert np.array_equal(mi.pairwise_distances(ps), whole)
+    assert np.array_equal(whole, reference_pairwise(ps))
+
+
+def bins_used(monkeypatch) -> list:
+    """The bins per axis of each later pairwise_distances call that takes
+    more than one (one bin picks no candidates)."""
+    seen = []
+    real = distance._bin_candidates
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(distance, "_bin_candidates", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, npts", [(3, 511), (3, 512), (3, 800), (2, 255), (2, 256), (2, 600)])
+@pytest.mark.parametrize("lattice", ["skewed-fcc", "cond-1e3"])
+def test_binned_matrix_on_both_sides_of_the_threshold(n, npts, lattice, monkeypatch):
+    rng = np.random.default_rng((57, n, npts))
+    b = (skewed_basis(rng, FCC if n == 3 else HEX_2D, 1e2) if lattice == "skewed-fcc"
+         else random_cond_basis(rng, n, 1e3))
+    ps = mi.PeriodicPointSet(b, rng.random((npts, n)))
+    seen = bins_used(monkeypatch)
+    assert np.array_equal(mi.pairwise_distances(ps), reference_pairwise(ps))
+    assert seen == ([2] if npts >= 64 * 2 ** n else [])
+
+
+def exact_points(m: np.ndarray) -> np.ndarray:
+    """Quarter-grid points of the frame of m, so on bin edges (reduced
+    fractional 0 and 1/2) exactly, and every one moved by every Voronoi
+    vertex (dyadic in the frame of m where the lattice allows), with a
+    few duplicates."""
+    n = len(m)
+    grid = np.indices((4,) * n).reshape(n, -1).T / 4
+    verts = np.linalg.solve(m, mi.voronoi_cell(mi.validate_basis(m)).vertices.T).T
+    dyadic = np.round(8 * verts) / 8
+    if np.allclose(verts, dyadic, rtol=0, atol=1e-12):
+        verts = dyadic
+    moved = (grid[::3, None, :] + verts[None]).reshape(-1, n)
+    return np.concatenate([grid, moved, grid[:5], moved[::7]])
+
+
+@pytest.mark.parametrize("name", ["square", "hexagonal", "cube", "fcc", "bcc"])
+@pytest.mark.parametrize("bin_min", [1, 64])
+def test_binned_matrix_on_exact_lattices(name, bin_min, monkeypatch):
+    monkeypatch.setattr(distance, "_BIN_MIN", bin_min)
+    m = type_sweep.TYPES[name]
+    rng = np.random.default_rng(58)
+    for b in (mi.validate_basis(m), mi.validate_basis(m @ random_unimodular(rng, len(m)))):
+        ps = mi.PeriodicPointSet(b, exact_points(m) @ unimodular_inverse(
+            np.round(np.linalg.solve(m, b.matrix)).astype(np.int64)).T)
+        mat = mi.pairwise_distances(ps)
+        assert np.array_equal(mat, reference_pairwise(ps))
+        assert np.array_equal(mat, mat.T)
+
+
+def certificate_bases():
+    """Seeded skewed FCC and hexagonal frames, random lattices of condition
+    number up to 1e3, and the reduced cell that needs two layers."""
+    out = [pytest.param(mi.validate_basis(REDUCED_BUT_H_ABOVE_1), id="reduced-h-above-1")]
+    for n in (2, 3):
+        for seed in range(6):
+            rng = np.random.default_rng((59, n, seed))
+            b = (random_cond_basis(rng, n, 10 ** rng.uniform(0, 3)) if seed % 2
+                 else skewed_basis(rng, FCC if n == 3 else HEX_2D, 1e2))
+            out.append(pytest.param(b, id=f"{n}d-{seed}"))
+    return out
+
+
+@pytest.mark.parametrize("b", certificate_bases())
+def test_bin_candidates_keep_every_minimum_by_the_margin(b):
+    # The certificate alone: at the corners of every box of bin differences
+    # and at random points in it, every dropped block row is longer, squared,
+    # than the best kept row by more than twice the slack.
+    n = b.dim
+    rng = np.random.default_rng(61)
+    red, t = distance._reduced_search_block(b)
+    rm = red.basis.matrix
+    shifts = t @ rm.T
+    reach = np.linalg.norm(shifts, axis=1).max() + red.basis.diameter()
+    margin = 2 * distance._PRUNE_SLACK * reach ** 2
+    for k in (1, 2, 3):
+        cands = distance._bin_candidates(voronoi._prepare(b).normals, rm, shifts,
+                                         red.basis.diameter(), k)
+        diffs = int_box((k - 1,) * n)
+        assert len(cands) == len(diffs)
+        for d, kept in zip(diffs, cands):
+            lo, hi = (d - 1) / k, (d + 1) / k
+            corners = np.where(np.indices((2,) * n).reshape(n, -1).T > 0, hi, lo)
+            f = np.concatenate([corners, lo + (hi - lo) * rng.random((64, n))])
+            x = (f[:, None, :] + t[None]) @ rm.T
+            sq = np.einsum("fti,fti->ft", x, x)
+            dropped = np.setdiff1d(np.arange(len(t)), kept)
+            assert len(kept)
+            if k == 1 and len(t) == 3 ** n:
+                assert not len(dropped)  # one bin keeps the whole 3^n block
+            if len(dropped):
+                assert (sq[:, dropped].min(axis=1) - sq[:, kept].min(axis=1) > margin).all()
+
+
+def test_pairwise_temporaries_stay_within_row_chunks():
+    import tracemalloc
+
+    rng = np.random.default_rng(60)
+    ps = mi.PeriodicPointSet(skewed_basis(rng, FCC, 1e2), rng.random((800, 3)))
+    mi.pairwise_distances(ps)
+    tracemalloc.start()
+    try:
+        out = mi.pairwise_distances(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A second 800 x 800 array would take 39 x _CHUNK entries.
+    assert peak - out.nbytes < 12 * distance._CHUNK * 8 + 64 * len(ps) * 8
 
 
 def test_neighbors_reach_beyond_one_layer_and_self_images(identity3):
