@@ -12,6 +12,11 @@ module name, and times on the same bases, per call:
 - in the ``fcc`` and ``2d`` groups only: ``pairwise_distances:200`` and
   ``pairwise_distances:800``, the distance matrix of 200 and 800 seeded
   points per basis;
+- in the ``fcc`` group only: ``neighbor_arrays:cli`` (100 seeded points,
+  cutoff 0.5, as in the benchmark's cli workload), ``neighbor_arrays:bulk``
+  (200 points, cutoff 1.06, as in its bulk workload) and
+  ``neighbor_arrays:sparse`` (4000 points, cutoff 0.05), on the group's
+  first basis scaled to unit covolume;
 - in the ``geometry`` group only: ``geometry_pass``, the calls of the
   benchmark's geometry workload (``reduce``, ``relevant_vectors``,
   ``voronoi_cell``, ``copy_counts``, ``enumerate_ps``, ``check_cell``) on a
@@ -82,9 +87,12 @@ FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 # The groups whose bases also time distance matrices, and their sizes.
 MATRIX_GROUPS = ("fcc", "2d")
 MATRIX_SIZES = (200, 800)
+# The neighbor lists timed in the fcc group: name -> (points, cutoff).
+NEIGHBOR_INPUTS = {"cli": (100, 0.5), "bulk": (200, 1.06), "sparse": (4000, 0.05)}
 STAGES = ("_gauss_columns", "_selling_shortest_triples", "_ranked_config",
           "unimodular_inverse", "reduce", "min_image_distance",
           *(f"pairwise_distances:{npts}" for npts in MATRIX_SIZES),
+          *(f"neighbor_arrays:{name}" for name in NEIGHBOR_INPUTS),
           "geometry_pass", "relevant_vectors", "voronoi_cell", "copy_counts", "domain_extents",
           "enumerate_ps", "check_cell", "pairwise_distances", "render_2d",
           *(f"{call}:{kind}" for call in ("run", "_parse")
@@ -279,9 +287,16 @@ class Side:
                     rng = np.random.default_rng((seed, npts))
                     stages[f"pairwise_distances:{npts}"] = [
                         (mi.PeriodicPointSet(b, rng.random((npts, b.dim))),) for b, _, _ in bases]
+            if name == "fcc":
+                b = mi.validate_basis(bases[0][0].matrix / 2 ** (1 / 3))
+                for kind, (npts, cutoff) in NEIGHBOR_INPUTS.items():
+                    rng = np.random.default_rng((seed, npts))
+                    stages[f"neighbor_arrays:{kind}"] = [
+                        (mi.PeriodicPointSet(b, rng.random((npts, 3))), cutoff)]
             fns = {"unimodular_inverse": core.unimodular_inverse, "reduce": red.reduce,
                    "min_image_distance": mi.min_image_distance,
-                   **{f"pairwise_distances:{npts}": mi.pairwise_distances for npts in MATRIX_SIZES}}
+                   **{f"pairwise_distances:{npts}": mi.pairwise_distances for npts in MATRIX_SIZES},
+                   **{f"neighbor_arrays:{kind}": mi.neighbor_arrays for kind in NEIGHBOR_INPUTS}}
             self.calls[name] = {
                 stage: (fns.get(stage) or getattr(red, stage), args)
                 for stage, args in stages.items() if args}

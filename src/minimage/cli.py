@@ -98,6 +98,13 @@ def _sig12_tables() -> SimpleNamespace:
         length=np.stack([text, text + 2 * (e >= 0) * (nd <= e + 1)]).reshape(2, -1),
         prefix=np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None],
     )
+    # x + 9999 for x in [-9999, 9999] -> the text of x as "%d" writes it,
+    # the first character in the lowest byte, and its length
+    x = np.arange(-9999, 10000)
+    size = 1 + (abs(x) >= 10) + (abs(x) >= 100) + (abs(x) >= 1000)
+    text = tables.digits[abs(x)] >> (8 * (4 - size)).astype(np.uint64)
+    tables.small = np.where(x < 0, (text << 8) | ord("-"), text)[:, None]
+    tables.small_length = size + (x < 0)
     for table in vars(tables).values():
         table.flags.writeable = False
     return tables
@@ -110,10 +117,9 @@ def _sig12_rule(values: list[float], as_json: bool) -> list[str]:
     return json.dumps([float(x) for x in texts])[1:-1].split(", ") if as_json else texts
 
 
-def _sig12_block(v: np.ndarray, start: int, total: int, sep: str, row_len: int,
-                 row_sep: str, as_json: bool) -> str:
-    """``_sig12_text`` of the values ``v``, which start at index ``start`` of
-    ``total``, each followed by its separator but the last of all."""
+def _sig12_cells(v: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each value of ``v`` as ``_sig12_rule`` writes it, left
+    aligned in a row of ``_WIDTH`` bytes, and its length."""
     t = _sig12_tables()
     m = len(v)
     fast = (v >= 1e-4) & (v < 1e11)
@@ -152,6 +158,15 @@ def _sig12_block(v: np.ndarray, start: int, total: int, sep: str, row_len: int,
         length[slow] = np.array([len(x) for x in texts])[which]
         padded = np.frombuffer("".join([x.ljust(19) for x in texts]).encode(), np.uint8)
         chars[slow, :19] = padded.reshape(-1, 19)[which]
+    return chars, length
+
+
+def _sig12_block(v: np.ndarray, start: int, total: int, sep: str, row_len: int,
+                 row_sep: str, as_json: bool) -> str:
+    """``_sig12_text`` of the values ``v``, which start at index ``start`` of
+    ``total``, each followed by its separator but the last of all."""
+    chars, length = _sig12_cells(v, as_json)
+    m = len(v)
     flat = chars.reshape(-1)
     at = np.arange(0, m * _WIDTH, _WIDTH) + length
     for j, c in enumerate(sep.encode()):
@@ -163,7 +178,7 @@ def _sig12_block(v: np.ndarray, start: int, total: int, sep: str, row_len: int,
     length[ends] += len(row_sep) - len(sep)
     if start + m == total:
         length[-1] -= len(row_sep) if total % row_len == 0 else len(sep)
-    return chars[t.prefix[length]].tobytes().decode("ascii")
+    return chars[_sig12_tables().prefix[length]].tobytes().decode("ascii")
 
 
 def _sig12_text(values: np.ndarray, sep: str, row_len: int, row_sep: str,
@@ -182,6 +197,57 @@ def _sig12_text(values: np.ndarray, sep: str, row_len: int, row_sep: str,
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     return "".join([_sig12_block(v[i:i + _BLOCK], i, len(v), sep, row_len, row_sep, as_json)
                     for i in range(0, len(v), _BLOCK)])
+
+
+def _sig12_rows(ints: np.ndarray, last: np.ndarray, joins: list[str], row_sep: str,
+                as_json: bool) -> str:
+    """Rows of the integer columns ``ints`` as "%d" writes them, then of
+    the values ``last`` as ``_sig12_text`` writes them: ``joins[0]``, the
+    first value, ``joins[1]``, the second, and so on, ``joins[-1]`` last;
+    ``row_sep`` between rows.
+
+    A block of rows is one grid of 8-byte words, with a mask of the bytes
+    to keep: each join right-aligned in whole words, and each column in
+    the words its longest text in the block needs.  An integer below 10^4
+    in magnitude takes its text from a table; "%.12g" writes the others
+    below 10^12 as "%d" does, and the rest take a "%d" call each."""
+    t = _sig12_tables()
+    words = t.prefix.view("<u8")  # length -> the mask of its first bytes, as words
+    fixed = []
+    for text in [*joins[:-1], joins[-1] + row_sep]:
+        pad = b"\0" * (-len(text) % 8)
+        fixed.append((np.frombuffer(pad + text.encode(), "<u8"),
+                      np.frombuffer(pad + b"\1" * len(text), "<u8")))
+    out = []
+    for r0 in range(0, len(ints), _BLOCK):
+        block = ints[r0:r0 + _BLOCK]
+        cells = []
+        for column in block.T:
+            if abs(column).max() < 10**4:
+                cells.append((t.small[column + 9999], t.small_length[column + 9999]))
+            else:
+                chars, length = _sig12_cells(column.astype(np.float64), False)
+                big = np.flatnonzero(abs(column) >= 10**12)
+                if len(big):  # "%.12g" would write these with an exponent
+                    texts = ["%d" % x for x in column[big].tolist()]
+                    length[big] = [len(x) for x in texts]
+                    chars[big] = np.frombuffer("".join([x.ljust(_WIDTH) for x in texts]).encode(),
+                                               np.uint8).reshape(-1, _WIDTH)
+                cells.append((chars.view("<u8"), length))
+        chars, length = _sig12_cells(last[r0:r0 + _BLOCK], as_json)
+        cells.append((chars.view("<u8"), length))
+        columns = []  # per word of a row: its texts and masks
+        for (text, mask), cell in zip(fixed, cells + [None]):
+            columns += zip(text, mask)
+            if cell:
+                chars, length = cell
+                size = -(-int(length.max()) // 8)
+                columns += zip(chars[:, :size].T, words[length, :size].T)
+        grid = np.empty((2, len(block), len(columns)), "<u8")
+        for k, (text, mask) in enumerate(columns):
+            grid[0, :, k], grid[1, :, k] = text, mask
+        out.append(grid[0].view(np.uint8)[grid[1].view(bool)].tobytes())
+    return b"".join(out)[:-len(row_sep) or None].decode("ascii")
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -418,23 +484,25 @@ def _matrix(a):
 def _neighbors(a):
     ps, n = a.points, a.lattice.dim
     i, j, images, d = neighbor_arrays(ps, a.cutoff)
-    # The columns i, j, t1..tn and the distance texts of the hits, then one
-    # format call per hit.
-    cols = [i.tolist(), j.tolist(), *images.T.tolist()]
-    dists = _sig12_text(d, ",", 1, ",", a.format != "csv").split(",")
-    if a.format == "csv":
-        fmt = ",".join(["%d"] * (n + 2) + ["%s"])
-        head = ",".join(["i", "j", *(f"t{k}" for k in range(1, n + 1)), "distance"])
-        out = "\n".join([head] + [fmt % row for row in zip(*cols, dists)])
+    # One row per hit: i, j and t1..tn as "%d" writes them, then the distance.
+    ints = np.column_stack((i, j, images))
+    as_json = a.format != "csv"
+    if as_json:
+        joins = ['{"i": ', ', "j": ', ', "image": [', *[", "] * (n - 1), '], "distance": ', "}"]
+        row_sep = ", "
     else:
-        fmt = '{"i": %d, "j": %d, "image": [' + ", ".join(["%d"] * n) + '], "distance": %s}'
+        joins, row_sep = ["", *[","] * (n + 2), ""], "\n"
+    rows = _sig12_rows(ints, d, joins, row_sep, as_json)
+    if as_json:
         out = '{"cutoff": %s, "count": %d, "neighbors": [%s]}' % (
-            json.dumps(_sig12(a.cutoff)), len(d),
-            ", ".join([fmt % row for row in zip(*cols, dists)]))
+            json.dumps(_sig12(a.cutoff)), len(d), rows)
+    else:
+        head = ",".join(["i", "j", *(f"t{k}" for k in range(1, n + 1)), "distance"])
+        out = head + "\n" + rows if len(d) else head
 
     def verify():
         found = {}
-        for i, j, *img, dist in zip(*cols, d.tolist()):
+        for i, j, *img, dist in zip(*ints.T.tolist(), d.tolist()):
             found.setdefault((i, j), {})[tuple(img)] = dist
         return _check_hit_sets(a.lattice, ps.points, a.cutoff, found)
     return out, verify

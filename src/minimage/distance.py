@@ -77,33 +77,57 @@ images, not over point pairs: for a range of rows it holds per-component
 difference arrays against the pair's columns and, per image, adds the
 shift, squares and sums in place, keeping a running minimum.  Each block
 writes itself and its transpose straight into the matrix through the
-sort permutation, which is exact because the block is symmetric.
+sort permutation, which is exact because the block is symmetric; with
+one bin the permutation is the identity, and the writes are plain slices.
 
 The neighbor list evaluates only the (pair, image) candidates that can
 hit, and needs the reduction alone, no Voronoi cell.  A pair's reduced
-fractional difference f = fr_j - fr_i lies in [-1, 1]^n; its class
-q = floor(2 f), per axis in {-2, -1, 0, 1}, spans f in [q, q + 1) / 2
-around the center c_q = (q + 1/2) / 2.  So f - c_q lies in
-[-1/4, 1/4]^n and |B (f - c_q)| <= diam / 4, where diam, the reduced
-cell's diameter, is the longest |B x| over x in [-1, 1]^n.  A hit
-|B (f + t)| <= cutoff then has |B (c_q + t)| <= cutoff + diam / 4 by the
-triangle inequality, so the images outside the ball of radius
-r = (cutoff + diam / 4)(1 + ``_PRUNE_SLACK``), the slack covering
-rounding, are dropped for the whole class without losing a hit.  That
-ball is the list's only bound.  Every entry of c_q is +-1/4 or +-3/4, so
-an image t in it has |t_k| = |row_k(B^-1) B (c_q + t) - (c_q)_k|
-<= r |row_k(B^-1)| + 3/4, and the search block is the balls' bounding
-box.  Each class that occurs picks its candidates from it once per call.
+fractional difference f = fr_j - fr_i lies in [-1, 1]^n, and a hit
+x = B (f + t), |x| <= cutoff, has |v . x| <= |v| cutoff for every vector
+v.
+
+The search block: around the centers c_q = (q + 1/2) / 2 of the boxes
+q = floor(2 f), every f lies within diam / 4 of its center, diam being
+the reduced cell's diameter (the longest |B x| over x in [-1, 1]^n), so
+a hit has |B (c_q + t)| <= r = (cutoff + diam / 4)(1 +
+``_PRUNE_SLACK``).  Every entry of c_q is +-1/4 or +-3/4, so such a t has
+|t_k| <= r |row_k(B^-1)| + 3/4, and the block is that box.
+
+The class rule.  A pair's class holds the sign of f per axis: f in
+[0, 1] or in [-1, 0), the box mid -+ 1/2 with mid = +-1/2.  Its
+candidates are the block images t with |g . (mid + t)| <= |v| cutoff +
+|g| . (1/2, ..., 1/2) for every direction v among the rows of B^-1 and
+the subset sums of the obtuse superbase, where g = B^T v and |g| is
+taken per component.  Each class that occurs picks its candidates once
+per call.  Four classes per axis, floor(2 f), cut the candidates but not
+the time: timed on a skewed FCC cell, 200 points at cutoff 1.06 ran
+within 1 % of two classes and 100 points at cutoff 0.5 1.3-1.4x slower.
+
+No hit is lost.  For a hit, v . x = g . (f + t) = g . (mid + t) +
+g . (f - mid), and the last term is at most |g| . (1/2, ..., 1/2) as f
+lies in the box; so t passes the bound, and it lies in the block, as
+shown above.  Computed values carry rounding of a few ulps of cutoff +
+2 diam, and every bound adds ``_PRUNE_SLACK`` (cutoff + diam) to the
+cutoff and a further factor 1 + ``_PRUNE_SLACK``, far above it.
+
+Each class evaluates its candidates in a few array calls: the pairs of
+a row range are sorted by class once, their differences computed once
+and sliced per class, the candidate shift columns kept per class for the
+call, and the hits of many classes found in one pass over a buffer of
+their squared distances.  Hits are ordered per row range and written
+into arrays sized from the ranges' counts.
 
 Both kernels bound their temporaries by ``_row_ranges``: rows
 start <= i < stop against columns j >= start, max(1, _CHUNK //
 (N - start)) rows at a time.  The neighbor list walks the upper triangle
-of all points by it, and the matrix each bin's own triangle, while an
-off-diagonal bin pair takes max(1, _CHUNK // |c|) rows of bin a at a time
-against all of bin c.  So each temporary array holds at most ``_CHUNK``
-entries per component, whatever N is.  Both sum the squares in the order
-``(x ** 2).sum(-1)`` uses, with the same differences and shifts, so every
-result is bit-identical to the direct broadcast formula.
+of all points by it and buffers 2 ``_CHUNK`` distances (or twice the
+pairs of a one-row range that holds more); the matrix walks each bin's
+own triangle, while an off-diagonal bin pair takes max(1, _CHUNK // |c|)
+rows of bin a at a time against all of bin c.  So each temporary array holds
+at most a few ``_CHUNK`` entries per component, whatever N is.  Both sum
+the squares in the order ``(x ** 2).sum(-1)`` uses, with the same
+differences and shifts, so every result is bit-identical to the direct
+broadcast formula.
 """
 
 from __future__ import annotations
@@ -138,8 +162,8 @@ _PRUNE_SLACK = 1e-9
 # least _BIN_MIN points; fewer points take one bin (module docstring).
 _BINS = 2
 _BIN_MIN = 64
-# Classes per unit of fractional difference in neighbor_arrays: a pair's
-# difference f in [-1, 1] per axis falls in one of 2 * _SPLIT classes.
+# The search block of neighbor_arrays is the bounding box of the balls
+# around the centers of 2 * _SPLIT boxes of difference per axis.
 _SPLIT = 2
 
 
@@ -159,10 +183,11 @@ class PeriodicPointSet:
     def __post_init__(self):
         if np.iscomplexobj(self.points):
             raise ValueError("points must be real")
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        given = np.asarray(self.points, dtype=float)
+        pts = np.atleast_2d(given)
         if pts.ndim != 2 or pts.shape[1] != self.basis.dim:
             raise ValueError(
-                f"points must have shape (N, {self.basis.dim}), got {pts.shape}"
+                f"points must have shape (N, {self.basis.dim}), got {given.shape}"
             )
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
@@ -346,12 +371,16 @@ def pairwise_distances(ps: PeriodicPointSet) -> np.ndarray:
             for v in s[1:]:
                 np.minimum(best, _sq_norm(diff, v, sq, tmp), out=best)
             np.sqrt(best, out=best)
-            rows, cols = order[r0:r1], order[c0:j1]
-            out[rows[:, None], cols] = best
             # The block is symmetric (image -t next to t) and negating a
             # difference is exact, so each entry's transpose has its bits.
             skip = r1 - r0 if a == c else 0
-            out[cols[skip:, None], rows] = best[:, skip:].T
+            if k == 1:  # the sort permutation is the identity
+                out[r0:r1, c0:j1] = best
+                out[c0 + skip:j1, r0:r1] = best[:, skip:].T
+            else:
+                rows, cols = order[r0:r1], order[c0:j1]
+                out[rows[:, None], cols] = best
+                out[cols[skip:, None], rows] = best[:, skip:].T
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -364,9 +393,9 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
 
     Self pairs i == j are included for every nonzero image (both signs);
     the zero image of a point with itself is not a neighbor.  Each pair
-    evaluates only the images in the ball of its class, and the search
-    block is the bounding box of the balls (see the module docstring); a
-    cutoff whose block holds more than 2**22 images raises ValueError.
+    evaluates only the candidate images of its class (see the module
+    docstring); a cutoff whose search block holds more than 2**22 images
+    raises ValueError.
     Hits are sorted by (i, j, distance, image coefficients).
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
@@ -375,16 +404,14 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     rm = red.basis.matrix
     n = red.basis.dim
     w, fr = _split_cells(ps.points @ red.inverse.T)
+    diam = red.basis.diameter()
+    inv_norms = np.linalg.norm(red.basis.inv, axis=1)  # |row_k(B^-1)|
 
-    # Class q holds the pairs with f in [q, q + 1) / _SPLIT per axis, all
-    # within diam / (2 _SPLIT) of the class center B c_q.
-    grid = np.indices((2 * _SPLIT,) * n).reshape(n, -1).T
-    centers = ((grid - _SPLIT + 0.5) / _SPLIT) @ rm.T
-    r = (cutoff + red.basis.diameter() / (2 * _SPLIT)) * (1.0 + _PRUNE_SLACK)
-    # The block is the bounding box of the class balls (module docstring).
-    # Its size is a float, so a huge cutoff overflows to inf, not to an error.
+    r = (cutoff + diam / (2 * _SPLIT)) * (1.0 + _PRUNE_SLACK)
+    # The block is the bounding box of the balls (module docstring).  Its
+    # size is a float, so a huge cutoff overflows to inf, not to an error.
     with np.errstate(over="ignore"):
-        layers = np.floor(r * np.linalg.norm(red.basis.inv, axis=1) + (1 - 0.5 / _SPLIT))
+        layers = np.floor(r * inv_norms + (1 - 0.5 / _SPLIT))
         size = np.prod(2 * layers + 1)
     if size > _MAX_IMAGES:
         raise ValueError(f"cutoff {cutoff!r} needs a block of {size:.3g} lattice images, "
@@ -398,65 +425,113 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
     row_key = _image_keys(tu)
     # Per-component rows: numpy gathers 1-D arrays far faster than rows.
     shift_c, tu_c, wu_c = shifts.T.copy(), tu.T.copy(), (w @ red.transform.T).T.copy()
-
-    cart_c = (fr @ rm.T).T.copy()
+    cart_c, fr_c = (fr @ rm.T).T.copy(), fr.T.copy()
     npts = len(fr)
-    out = []
-    cands = {}  # per class that occurs: the block images within its ball
+
+    # A hit has |v . B (f + t)| <= |v| cutoff for every vector v.  The
+    # directions v are the rows of B^-1, which bound |f_a + t_a|, and the
+    # subset sums of the obtuse superbase; g = B^T v gives v . B (f + t) =
+    # g . (f + t).  The slack covers rounding.
+    padded = (cutoff + _PRUNE_SLACK * (cutoff + diam)) * (1.0 + _PRUNE_SLACK)
+    sums = voronoi._TABLES[n][0] @ red.superbase.T
+    g = np.vstack((np.eye(n), sums @ (rm.T @ rm)))
+    bound = padded * np.append(inv_norms, np.linalg.norm(sums @ rm.T, axis=1))
+    # Per axis, a pair's class bit u = (f >= 0) puts f in the box
+    # mid -+ 1/2, mid = u - 1/2; so |g . (mid + t)| <= |v| cutoff + |g| . 1/2.
+    bound = bound + 0.5 * np.abs(g).sum(axis=1)
+    gt = t @ g.T
+    cands = {}  # per class that occurs: its candidate rows and their shift columns
+    parts = []
     for start, stop in _row_ranges(npts):
         # Of the (row, column) entries of the range, those with j >= i are pairs.
         i, j = np.nonzero(np.arange(start, npts) >= np.arange(start, stop)[:, None])
         i += start
         j += start
-        # The class index of each pair, axis by axis.  fr lies in [0, 1]
-        # (x - floor(x) rounds to 1.0 for tiny negative x), so f = 1 joins
-        # the last class, which still holds it.
         code = np.zeros(len(i), dtype=np.intp)
-        for f in fr.T:
-            q = np.clip(np.floor(_SPLIT * (f[j] - f[i])), -_SPLIT, _SPLIT - 1)
-            code = code * (2 * _SPLIT) + q.astype(np.intp) + _SPLIT
+        for f in fr_c:
+            code = 2 * code + (f[j] >= f[i])
         by_class = np.argsort(code)
-        bounds = np.searchsorted(code[by_class], np.arange(len(grid) + 1))
-        found = []
-        for c in np.flatnonzero(np.diff(bounds)):
-            e = by_class[bounds[c]:bounds[c + 1]]
-            if c not in cands:
-                x = shifts + centers[c]
-                cands[c] = np.flatnonzero(np.einsum("ij,ij->i", x, x) <= r ** 2)
-            diff = [col[j[e]] - col[i[e]] for col in cart_c]
-            found += _class_hits(diff, e, cands[c], shift_c, cutoff)
-        if found:
-            e, k, d = map(np.concatenate, zip(*found))
-            keep = (k != zero) | (i[e] != j[e])
-            e, k, d = e[keep], k[keep], d[keep]
-            order = _hit_order(e, d, row_key[k])
-            e, k, d = e[order], k[order], d[order]
-            i_e, j_e = i[e], j[e]
-            img = np.column_stack([a[k] + b[i_e] - b[j_e] for a, b in zip(tu_c, wu_c)])
-            out.append((i_e, j_e, img, d))
-    if not out:
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, n), np.int64), np.empty(0)
-    return tuple(map(np.concatenate, zip(*out)))
+        code = code[by_class]
+        starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1]))).tolist()
+        classes = code[starts].tolist()
+        new = [c for c in classes if c not in cands]
+        if new:
+            mid = np.array(np.unravel_index(new, (2,) * n)).T - 0.5
+            for c, row in zip(new, (np.abs(gt + (mid @ g.T)[:, None]) <= bound).all(axis=2)):
+                k = np.flatnonzero(row)
+                cands[c] = k, shift_c[:, k, None]
+        ii, jj = i[by_class], j[by_class]
+        diff = np.empty((n, len(ii)))
+        for a, col in enumerate(cart_c):
+            np.subtract(col[jj], col[ii], out=diff[a])
+        e, k, d = _class_hits(diff, [(b0, b1, *cands[c]) for c, b0, b1 in
+                                     zip(classes, starts, starts[1:] + [len(code)])], cutoff)
+        e = by_class[e]
+        keep = (k != zero) | (i[e] != j[e])
+        e, k, d = e[keep], k[keep], d[keep]
+        order = _hit_order(e, d, row_key[k])
+        e, k, d = e[order], k[order], d[order]
+        parts.append((i[e], j[e], k, d))
+    # Hits in order, written into arrays sized from the ranges' counts.
+    total = sum(len(part[3]) for part in parts)
+    out_i, out_j = np.empty(total, np.intp), np.empty(total, np.intp)
+    img, dist = np.empty((total, n), np.int64), np.empty(total)
+    at = 0
+    for i, j, k, d in parts:
+        hits = slice(at, at + len(d))
+        out_i[hits], out_j[hits], dist[hits] = i, j, d
+        for c, (a, b) in enumerate(zip(tu_c, wu_c)):
+            img[hits, c] = a[k] + b[i] - b[j]
+        at += len(d)
+    return out_i, out_j, img, dist
 
 
-def _class_hits(diff: list[np.ndarray], e: np.ndarray, cand: np.ndarray,
-                shift_c: np.ndarray, cutoff: float
-                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(e, k, d) per block of candidates: the entries e whose differences
-    ``diff`` (one array per component) lie within the cutoff after adding
-    shift k, at that distance, with the squares summed as the whole-block
-    formula sums them."""
-    diff = [x[None, :] for x in diff]
-    step = max(1, _CHUNK // len(e))
-    found = []
-    for k0 in range(0, len(cand), step):
-        k = cand[k0:k0 + step]
-        d = np.empty((len(k), len(e)))
-        np.sqrt(_sq_norm(diff, [x[k][:, None] for x in shift_c], d, np.empty_like(d)), out=d)
-        d = d.ravel()
+def _class_hits(diff: np.ndarray, blocks: list, cutoff: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, k, d): the entries e whose differences ``diff`` (n x entries) lie
+    within the cutoff after adding shift k, at that distance.
+
+    ``blocks`` holds per class its entries b0:b1, its candidate rows and
+    their shift columns (n x K x 1).  Each class adds its shifts to its
+    entries, squares and sums over the components, in three array calls
+    into one buffer; the hits of the whole buffer are then found at once.
+    The squares are summed in component order, as ``(x ** 2).sum(-1)``
+    sums them."""
+    n = len(diff)
+    most = max([_CHUNK] + [b1 - b0 for b0, b1, _, _ in blocks])  # one row may pass _CHUNK
+    tmp, sq = np.empty(n * most), np.empty(2 * most)
+    found, pending, fill = [], [], 0  # pending: (offset in sq, b0, entries, rows)
+
+    def flush():
+        d = np.sqrt(sq[:fill], out=sq[:fill])
         hit = np.flatnonzero(d <= cutoff)
-        found.append((e[hit % len(e)], k[hit // len(e)], d[hit]))
-    return found
+        off, b0, m, rows = zip(*pending)
+        which = np.searchsorted(off, hit, "right") - 1
+        at = hit - np.array(off)[which]
+        m = np.array(m)[which]
+        first = np.cumsum([0] + [len(x) for x in rows[:-1]])[which]
+        found.append((np.array(b0)[which] + at % m, np.concatenate(rows)[first + at // m],
+                      d[hit]))
+
+    for b0, b1, cand, cols in blocks:
+        m = b1 - b0
+        step = max(1, _CHUNK // m)
+        for k0 in range(0, len(cand), step):
+            kc = min(step, len(cand) - k0)
+            if fill + kc * m > len(sq):
+                flush()
+                pending, fill = [], 0
+            x = tmp[:n * kc * m].reshape(n, kc, m)
+            np.add(diff[:, None, b0:b1], cols[:, k0:k0 + kc], out=x)
+            np.multiply(x, x, out=x)
+            np.add.reduce(x, axis=0, out=sq[fill:fill + kc * m].reshape(kc, m))
+            pending.append((fill, b0, m, cand[k0:k0 + kc]))
+            fill += kc * m
+    if fill:
+        flush()
+    if not found:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _image_keys(img: np.ndarray) -> np.ndarray:

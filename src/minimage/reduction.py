@@ -316,17 +316,24 @@ def _ranked_untied(vecs: np.ndarray, carts: np.ndarray, norms: list,
 def _ranked_array(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
                   sets: np.ndarray) -> np.ndarray:
     """The ranking of :func:`_ranked_config` in one array pass over every
-    set, norm-ascending ordering and signing."""
+    set and norm-ascending ordering, and of each signing s and its negation
+    -s the one whose first column has a positive first nonzero Cartesian
+    entry: the other loses to it on the third key.  The kept signings of an
+    ordering are the half of ``itertools.product`` order with that first
+    sign, so exact ties still go to the first (set, ordering, signing)."""
     n = vecs.shape[1]
     perms, signs, (a, b) = _CONFIGS[n]
     idx = sets[:, perms].reshape(-1, n)
     idx = idx[np.all(n2[idx[:, :-1]] <= n2[idx[:, 1:]], axis=1)]
+    lead = carts[np.arange(len(carts)), (carts != 0).argmax(axis=1)] < 0
+    signs = signs.reshape(2, -1, n)[lead[idx[:, 0]].astype(np.intp)]  # ordering x signing x n
     ia, ib = idx[:, a], idx[:, b]
     root = np.reshape([x ** 0.5 for x in (n2[ia] * n2[ib]).ravel().tolist()], ia.shape)
-    cos = (row_dots(carts[ia], carts[ib]) / root)[:, None] * (signs[:, a] * signs[:, b])
+    cos = (row_dots(carts[ia], carts[ib]) / root)[:, None] * (signs[:, :, a] * signs[:, :, b])
     acute = cos > COS_SNAP
-    key = -(signs[:, :, None] * carts[idx][:, None]).reshape(-1, n * n)
+    key = -(signs[:, :, :, None] * carts[idx][:, None]).reshape(-1, n * n)
     best = np.lexsort((*key.T[::-1], np.where(acute, cos, 0.0).max(axis=-1).ravel(),
                        acute.sum(axis=-1).ravel()))[0]
-    return np.ascontiguousarray((signs[best % len(signs)][:, None]
-                                 * vecs[idx[best // len(signs)]]).T)
+    half = signs.shape[1]
+    return np.ascontiguousarray((signs[best // half, best % half][:, None]
+                                 * vecs[idx[best // half]]).T)

@@ -659,6 +659,18 @@ def test_points_file_label_items_must_be_strings(capsys, tmp_path, labels):
     assert captured.err == f"usage error: 'labels' in {pts} must be strings\n"
 
 
+@pytest.mark.parametrize("cmd", ["matrix", "neighbors"])
+def test_points_file_with_no_points_reports_the_shape_it_holds(capsys, tmp_path, cmd):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"frac": []}))
+    cutoff = ["--cutoff", "0.5"] if cmd == "neighbors" else []
+    assert run([cmd, "--lattice", "identity3", "--points", str(pts), *cutoff]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: invalid points in {pts}: "
+                            "points must have shape (N, 3), got (0,)\n")
+
+
 def test_points_file_labels_may_be_null(capsys, tmp_path):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": None}))
@@ -951,6 +963,42 @@ def test_neighbor_rows_print_twelve_significant_digits(monkeypatch):
             "neighbors": [{"i": a, "j": b, "image": img, "distance": float(f"{v:.12g}")}
                           for a, b, img, v in zip(i.tolist(), j.tolist(), images.tolist(),
                                                   d.tolist())]})) is None
+
+
+def neighbor_table_by_rule(i, j, images, d, fmt):
+    """The neighbors output of these hits, one "%" row per hit."""
+    n = images.shape[1]
+    rows = zip(i.tolist(), j.tolist(), images.tolist(), d.tolist())
+    if fmt == "csv":
+        head = ",".join(["i", "j", *(f"t{k}" for k in range(1, n + 1)), "distance"])
+        return "\n".join([head] + ["%d,%d,%s,%.12g" % (a, b, ",".join("%d" % x for x in img), v)
+                                    for a, b, img, v in rows])
+    return json.dumps({"cutoff": 0.75, "count": len(d), "neighbors": [
+        {"i": a, "j": b, "image": img, "distance": float("%.12g" % v)} for a, b, img, v in rows]})
+
+
+@pytest.mark.parametrize("span", [9999, 10**4, 10**5, 10**13, 10**18],
+                         ids=["small", "edge", "digits", "past-12-digits", "19-digits"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_neighbor_table_matches_the_per_hit_rule(monkeypatch, fmt, n, span):
+    """The hit table writer against one "%" row per hit: indices of up to
+    5 digits, image coefficients of both signs up to ``span``, and tables
+    of none, one, a few and more than ``_BLOCK`` rows."""
+    rng = np.random.default_rng(65)
+    for count in (0, 1, 7, cli._BLOCK + 1000):
+        i = np.sort(rng.integers(0, 10**5, count))
+        j = i + rng.integers(0, 100, count)
+        images = rng.integers(-span, span + 1, (count, n))
+        images[: count // 2] //= span // 9  # mostly one digit, as a lattice's images are
+        if count > 1:
+            images[-2:] = [[span], [-span]]  # both ends of the span in every column
+        d = rng.uniform(0.0, 3.0, count)
+        d[::97] = 0.0
+        monkeypatch.setattr(cli, "neighbor_arrays", lambda ps, cutoff: (i, j, images, d))
+        out = cli._neighbors(SimpleNamespace(points=None, lattice=SimpleNamespace(dim=n),
+                                             cutoff=0.75, format=fmt))[0]
+        assert mismatch(out, neighbor_table_by_rule(i, j, images, d, fmt)) is None
 
 
 def _decade_values():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_point_set_rejects_bad_shapes(identity2):
         mi.PeriodicPointSet(identity2, [[0.1, 0.2, 0.3]])
     with pytest.raises(ValueError):
         mi.PeriodicPointSet(identity2, [[0.1, 0.2]], labels=("a", "b"))
+
+
+@pytest.mark.parametrize("points, shape", [([], "(0,)"), ([[]], "(1, 0)"),
+                                           ([0.1, 0.2, 0.3], "(3,)"),
+                                           (np.zeros((2, 2, 2)), "(2, 2, 2)")],
+                         ids=["empty-list", "empty-row", "one-point-of-three", "3-d"])
+def test_point_set_reports_the_shape_the_caller_passed(identity2, points, shape):
+    with pytest.raises(ValueError, match=f"^points must have shape \\(N, 2\\), got {re.escape(shape)}$"):
+        mi.PeriodicPointSet(identity2, points)
+    assert len(mi.PeriodicPointSet(identity2, np.empty((0, 2)))) == 0
 
 
 def test_point_set_labels(identity2):
@@ -518,10 +529,10 @@ def test_neighbor_classes_match_the_whole_block(b):
 
 @pytest.mark.parametrize("b", equivalence_bases() + elongated_bases())
 def test_class_ball_implies_the_shift_bound(b):
-    # The only bound of neighbor_arrays is the class ball.  Every image in
-    # it also passes the shift-length bound |B t| <= cutoff + diam, because
-    # |B c_q| <= 3/4 diam for every class center c_q, and lies in the
-    # search block, the balls' bounding box: |t_k| <= floor(r / width_k + 3/4).
+    # The search block of neighbor_arrays is the bounding box of the class
+    # balls.  Every image in a ball also passes the shift-length bound
+    # |B t| <= cutoff + diam, because |B c_q| <= 3/4 diam for every class
+    # center c_q, and lies in the block: |t_k| <= floor(r / width_k + 3/4).
     red = mi.reduce(b).basis
     n, cell = b.dim, red.diameter()
     split, slack = distance._SPLIT, distance._PRUNE_SLACK
@@ -626,6 +637,113 @@ def test_neighbor_arrays_are_the_list_in_columns():
                     d.tolist())) == mi.neighbors_within(ps, cutoff)
     empty = distance.neighbor_arrays(ps, 1e-6)
     assert [x.shape for x in empty] == [(0,), (0,), (0, 3), (0,)]
+
+
+# --- the neighbor arrays ------------------------------------------------------------
+
+
+def reference_neighbor_arrays(ps, cutoff):
+    """``reference_neighbors`` as arrays, one row at a time against every
+    later point and every image t with |t_k| <= 1 + cutoff |row_k(B^-1)|,
+    a bound every hit meets: f_k + t_k = row_k(B^-1) B (f + t), |f_k| <= 1."""
+    red = mi.reduce(ps.basis)
+    rm, u = red.basis.matrix, red.transform
+    fred = ps.points @ unimodular_inverse(u).T
+    w = np.floor(fred).astype(np.int64)
+    cart = (fred - w) @ rm.T
+    reach = cutoff * np.linalg.norm(red.basis.inv, axis=1) * (1 + 1e-6)
+    t = int_box(np.floor(1 + reach))
+    shifts = t @ rm.T
+    parts = []
+    for i in range(len(ps)):
+        d = np.linalg.norm((cart[i:] - cart[i])[:, None, :] + shifts, axis=2)
+        j, k = np.nonzero(d <= cutoff)
+        keep = (j > 0) | t[k].any(axis=1)
+        j, k = j[keep], k[keep]
+        parts.append((np.full(len(j), i), i + j, (t[k] + w[i] - w[i + j]) @ u.T, d[j, k]))
+    i, j, img, d = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((*img.T[::-1], d, j, i))
+    return i[order], j[order], img[order], d[order]
+
+
+def assert_same_arrays(got, want):
+    assert [x.dtype.kind for x in got] == ["i", "i", "i", "f"]
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+def edge_points(rng, npts: int, n: int) -> np.ndarray:
+    """Seeded points in [0, 1)^n, a quarter of them on multiples of 1/240,
+    so that many differences are exactly 0 (a class edge) or a multiple of
+    1/240 on some axis, and the last two repeating the first two."""
+    pts = rng.random((npts, n))
+    grid = rng.integers(0, 240, (npts // 4, n)) / 240
+    pts[:len(grid)] = grid
+    if npts > 4:
+        pts[-2:] = pts[:2]  # duplicates of two grid points
+    return pts
+
+
+def neighbor_array_cases():
+    """(reduced basis, N, cutoff in cell widths): the points of a reduced
+    basis are its reduced coordinates, so class edges are hit exactly."""
+    cases = []
+    for name, m in (("cubic", np.eye(3)), ("fcc", FCC), ("square", np.eye(2)),
+                    ("hexagonal", HEX_2D), ("elongated", np.diag([1.0, 1.0, 4.0]))):
+        for npts, scales in ((1, (0.01, 1.0, 3.0)), (2, (0.01, 0.3, 3.0)),
+                             (50, (0.01, 0.3, 1.0, 3.0)), (100, (0.05, 0.3, 1.0)),
+                             (400, (0.01, 0.05, 0.3)),
+                             (2000, (0.01, 0.05) if name in ("fcc", "hexagonal") else ())):
+            for scale in scales:
+                cases.append(pytest.param(m, npts, scale, id=f"{name}-{npts}-{scale}"))
+    return cases
+
+
+@pytest.mark.parametrize("m, npts, scale", neighbor_array_cases())
+def test_neighbor_arrays_match_the_whole_block(m, npts, scale):
+    b = mi.reduce(mi.validate_basis(m)).basis
+    assert np.array_equal(mi.reduce(b).transform, np.eye(b.dim))
+    rng = np.random.default_rng(npts)
+    ps = mi.PeriodicPointSet(b, edge_points(rng, npts, b.dim))
+    cutoff = scale * abs(b.det) ** (1.0 / b.dim)
+    assert_same_arrays(distance.neighbor_arrays(ps, cutoff), reference_neighbor_arrays(ps, cutoff))
+
+
+@pytest.mark.parametrize("n, cond", [(2, 30.0), (3, 30.0), (3, 300.0)])
+def test_neighbor_arrays_in_skewed_frames(n, cond):
+    rng = np.random.default_rng(57)
+    for scale in (0.02, 0.1, 0.4):
+        b = random_cond_basis(rng, n, cond)
+        ps = mi.PeriodicPointSet(b, edge_points(rng, 300, n))
+        cutoff = scale * abs(b.det) ** (1.0 / n)
+        assert_same_arrays(distance.neighbor_arrays(ps, cutoff),
+                           reference_neighbor_arrays(ps, cutoff))
+
+
+@pytest.mark.parametrize("m", [np.eye(2), HEX_2D, np.eye(3), FCC], ids=["square", "hexagonal",
+                                                                       "cubic", "fcc"])
+def test_class_signs_at_their_boundaries(m):
+    # A pair's class is the sign of its difference per axis: differences
+    # of 0 and 1 ulp either side of it, and of +-1/2 and +-1, at small and
+    # large cutoffs.
+    b = mi.reduce(mi.validate_basis(m)).basis
+    rng = np.random.default_rng(62)
+    ps = mi.PeriodicPointSet(b, _boundary_points(b.dim, rng))
+    scale = abs(b.det) ** (1.0 / b.dim)
+    for cutoff in (0.1 * scale, 0.124 * scale, 0.6 * scale):
+        assert_same_arrays(distance.neighbor_arrays(ps, cutoff),
+                           reference_neighbor_arrays(ps, cutoff))
+
+
+def test_one_row_past_the_chunk_in_one_class(monkeypatch):
+    # 300 points within 0.01 of the origin, in increasing order on both
+    # axes: each row is a range of its own against up to 299 points, all
+    # in one class (f >= 0 on both axes), past _CHUNK = 64.
+    monkeypatch.setattr(distance, "_CHUNK", 64)
+    rng = np.random.default_rng(66)
+    pts = np.sort(0.01 * rng.random((300, 2)), axis=0)
+    ps = mi.PeriodicPointSet(mi.validate_basis(np.eye(2)), pts)
+    assert_same_arrays(distance.neighbor_arrays(ps, 0.5), reference_neighbor_arrays(ps, 0.5))
 
 
 # --- non-finite input ---------------------------------------------------------

@@ -244,3 +244,51 @@ def test_elongated_cell_past_exact_rounding_is_a_typed_error(c):
                lambda b: mi.neighbor_arrays(ps, 1.0)):
         with pytest.raises(mi.ReductionNonConvergence, match="2\\*\\*53"):
             op(b)
+
+
+def full_ranked_array(vecs, carts, n2, sets):
+    """The ranking of ``_ranked_config`` over every set, norm-ascending
+    ordering and all 2^n signings, both signs of the first included."""
+    from minimage.core import row_dots
+
+    n = vecs.shape[1]
+    perms, signs, (a, b) = mi.reduction._CONFIGS[n]
+    idx = sets[:, perms].reshape(-1, n)
+    idx = idx[np.all(n2[idx[:, :-1]] <= n2[idx[:, 1:]], axis=1)]
+    ia, ib = idx[:, a], idx[:, b]
+    root = np.reshape([x ** 0.5 for x in (n2[ia] * n2[ib]).ravel().tolist()], ia.shape)
+    cos = (row_dots(carts[ia], carts[ib]) / root)[:, None] * (signs[:, a] * signs[:, b])
+    acute = cos > mi.reduction.COS_SNAP
+    key = -(signs[:, :, None] * carts[idx][:, None]).reshape(-1, n * n)
+    best = np.lexsort((*key.T[::-1], np.where(acute, cos, 0.0).max(axis=-1).ravel(),
+                       acute.sum(axis=-1).ravel()))[0]
+    return np.ascontiguousarray((signs[best % len(signs)][:, None]
+                                 * vecs[idx[best // len(signs)]]).T)
+
+
+BCC = 0.5 * np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+HEX_PRISM = np.array([[1.0, -0.5, 0.0], [0.0, np.sqrt(3.0) / 2.0, 0.0], [0.0, 0.0, 1.6]])
+
+
+@pytest.mark.parametrize("m", [FCC, BCC, np.eye(3), HEX_PRISM, HEX_2D],
+                         ids=["fcc", "bcc", "cube", "hexagonal-prism", "hexagonal-2d"])
+def test_ranking_half_the_signings_matches_the_full_pass(m):
+    """The array pass ranks one of each signing and its negation; on tied
+    lattices in 60 random frames each it picks, bit for bit, what the pass
+    over all signings picks."""
+    red = mi.reduction
+    rng = np.random.default_rng(61)
+    tied = 0
+    for _ in range(60):
+        b = mi.validate_basis(m @ random_unimodular(rng, len(m)))
+        vecs, carts, n2 = red._gauss_columns(b.matrix)
+        sets = red._PAIR
+        if b.dim == 3:
+            _, vecs, carts, n2, sets = red._selling_shortest_triples(b.matrix, vecs)
+        got = red._ranked_array(vecs, carts, n2, sets)
+        want = full_ranked_array(vecs, carts, n2, sets)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        tied += len(sets) > 1 or len(np.unique(n2[sets[0]])) < b.dim
+    # Frames with exactly equal norms or several sets take the array pass
+    # in reduce itself; rounding unties the norms of some 2D frames.
+    assert tied >= 10

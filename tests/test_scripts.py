@@ -136,6 +136,8 @@ def test_stage_timings_reports_every_stage_of_both_trees():
     for group, timings in report.items():
         want = stages + (["_selling_shortest_triples"] if group in ("3d", "cubic", "fcc") else [])
         want += ["pairwise_distances:200", "pairwise_distances:800"] if group in ("2d", "fcc") else []
+        want += (["neighbor_arrays:cli", "neighbor_arrays:bulk", "neighbor_arrays:sparse"]
+                 if group == "fcc" else [])
         want = {"geometry": geometry, "cli": cli}.get(group, want)
         assert sorted(timings) == sorted(want)
         assert all(sorted(t) == ["base", "change", "ratio"] for t in timings.values())
