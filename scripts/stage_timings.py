@@ -4,9 +4,10 @@ two source trees, side by side.
 Loads the ``minimage`` package of each tree in one process, under its own
 module name, and times on the same bases, per call:
 
-- ``_gauss_columns``, ``_selling_shortest_triples`` (3D only),
-  ``_ranked_config`` and ``unimodular_inverse``, each on its own tree's
-  inputs to that stage;
+- ``_gauss_columns``, ``_selling_shortest_triples`` (3D only: Selling and
+  the choice of the shortest triples, by whichever pick or pass the tree
+  has), ``_ranked_config`` and ``unimodular_inverse``, each on its own
+  tree's inputs to that stage;
 - ``reduce`` itself;
 - ``min_image_distance`` on one seeded pair of points per basis;
 - in the ``fcc`` and ``2d`` groups only: ``pairwise_distances:200`` and

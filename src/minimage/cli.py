@@ -4,7 +4,9 @@ Matrices are passed inline as whitespace-separated numbers; every
 consecutive group of n numbers is one cell vector, with n inferred from the
 count (4 values -> 2D, 9 -> 3D).  The tokens identity2 and identity3 name
 the unit bases.  JSON files ({"dim": n, "columns": [...]} or
-{"cell": [a, b, c, alpha, beta, gamma]}) override inline values.
+{"cell": [a, b, c, alpha, beta, gamma]}) override inline values.  Of the
+lattice sources given, the first of --lattice-file, --cell-params and
+--lattice is read and the others are ignored.
 
 Exit codes: 0 success, 1 domain errors (singular basis, non-primitive
 cell, verification mismatch or skipped), 2 usage or parse errors: an
@@ -306,6 +308,8 @@ def _load_matrix_file(path: str) -> Basis:
 
 
 def _resolve_basis(args, prefix: str, required: bool = True) -> Basis | None:
+    """The basis ``--PREFIX-file``, ``--cell-params`` (for the lattice) or
+    inline ``--PREFIX`` gives, the first of them given, in that order."""
     file_arg = getattr(args, f"{prefix}_file", None)
     inline = getattr(args, prefix, None)
     params = getattr(args, "cell_params", None) if prefix == "lattice" else None

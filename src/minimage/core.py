@@ -225,13 +225,12 @@ def _adjugate(m) -> tuple[list[list[int]], int]:
     a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
     if len(a) == 2:
         (p, q), (r, s) = a
-        adj = [[s, -q], [-r, p]]
-    else:
-        (p, q, r), (s, t, v), (w, x, y) = a
-        adj = [[t * y - v * x, r * x - q * y, q * v - r * t],
-               [v * w - s * y, p * y - r * w, r * s - p * v],
-               [s * x - t * w, q * w - p * x, p * t - q * s]]
-    return adj, sum(a[0][k] * adj[k][0] for k in range(len(a)))
+        return [[s, -q], [-r, p]], p * s - q * r
+    (p, q, r), (s, t, v), (w, x, y) = a
+    adj = [[t * y - v * x, r * x - q * y, q * v - r * t],
+           [v * w - s * y, p * y - r * w, r * s - p * v],
+           [s * x - t * w, q * w - p * x, p * t - q * s]]
+    return adj, p * adj[0][0] + q * adj[1][0] + r * adj[2][0]
 
 
 def int_det(m) -> int:
@@ -277,7 +276,7 @@ def unimodular_inverse(u) -> np.ndarray:
     adj, d = _adjugate(u)
     if abs(d) != 1:
         raise ValueError(f"matrix is not unimodular (det = {d})")
-    return np.array(adj, dtype=np.int64) * d
+    return np.array(adj if d == 1 else [[-x for x in row] for row in adj], dtype=np.int64)
 
 
 def int_box(layers, start: int = 0, stop: int | None = None) -> np.ndarray:

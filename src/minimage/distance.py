@@ -134,6 +134,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
@@ -149,6 +150,8 @@ from . import copies, reduction, voronoi
 TIE_REL = 1e-12
 # Most steps the minimum-image descent may take (module docstring).
 _MAX_DESCENT = 32
+# Per dimension, the unit box as float64.
+_UNIT_BOX_F = {n: box.astype(float) for n, box in _UNIT_BOX.items()}
 # Entries per row range of the pairwise and neighbor kernels.  Each of
 # their temporary arrays holds at most this many floats, whatever N is.
 _CHUNK = 1 << 14
@@ -228,21 +231,35 @@ def _reduced_search_block(b: Basis) -> tuple[reduction.ReducedBasis, np.ndarray]
     return p.red, int_box(copies.counts_from_extents(voronoi.frac_extents(p, p.red.basis)).layers)
 
 
+_FLOOR_BOUND = "reduced fractional coordinates must be below 2**53 in magnitude"
+
+
 def _split_cells(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer cell index and in-cell offset of reduced fractional
     coordinates; ValueError at 2**53 or above, where floor is inexact."""
     if not (np.abs(f) < 2.0 ** 53).all():
-        raise ValueError("reduced fractional coordinates must be below 2**53 in magnitude")
+        raise ValueError(_FLOOR_BOUND)
     w = np.floor(f)
     return w.astype(np.int64), f - w
 
 
-def _pick_image(dd: np.ndarray, images: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Index and coefficients of the minimal image, ties broken lexically."""
-    tied = np.flatnonzero(dd <= float(dd.min()) * (1.0 + 2.0 * TIE_REL))
-    rows = images[tied].tolist()
-    best = min(range(len(rows)), key=rows.__getitem__)
-    return int(tied[best]), tuple(rows[best])
+def _least_image(dd: np.ndarray, scan: np.ndarray, shift: list,
+                 transform: np.ndarray) -> tuple[int, list[int]]:
+    """Index and caller-frame coefficients of the minimal image of a scan,
+    ties broken lexically: of the rows s within the tie window of the
+    least squared distance, the least U (s + shift).  Only those rows are
+    mapped, in exact integer arithmetic."""
+    d = dd.tolist()
+    window = min(d) * (1.0 + 2.0 * TIE_REL)
+    u = transform.tolist()
+    best = None
+    for i, x in enumerate(d):
+        if x <= window:
+            t = [int(c) + s for c, s in zip(scan[i].tolist(), shift)]
+            img = [sum(map(operator.mul, row, t)) for row in u]
+            if best is None or img < best[1]:
+                best = i, img
+    return best
 
 
 def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
@@ -263,16 +280,24 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     if p1.shape != (n,) or p2.shape != (n,):
         raise ValueError(f"points must have {n} coordinates, got shapes "
                          f"{p1.shape} and {p2.shape}")
-    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+    if not all(map(math.isfinite, p1.tolist() + p2.tolist())):
         raise ValueError("points must be finite")
     red = reduction.reduce(b)
     rm = red.basis.matrix
-    # Each point's reduced coordinates with the bits of red.inverse @ p.
-    w, d = _split_cells(matvecs(red.inverse, (p1, p2)))
-    y = d[1] - d[0]
-    box = _UNIT_BOX[n]
-    # The scan offsets: the unit box (its middle row is t itself), then the
-    # nonzero proper subset sums of the obtuse superbase.
+    # Each point's reduced coordinates with the bits of red.inverse @ p,
+    # split into cell and offset as _split_cells splits them: a float minus
+    # its floor, an integer below 2**53, is the same IEEE subtraction in
+    # Python as in numpy.  Only the sign of a zero in y can differ, and
+    # y + scan adds it to the float of an integer, which gives the same bits.
+    f1, f2 = matvecs(red.inverse, (p1, p2)).tolist()
+    if not all(abs(x) < 2.0 ** 53 for x in f1 + f2):
+        raise ValueError(_FLOOR_BOUND)
+    c1, c2 = list(map(math.floor, f1)), list(map(math.floor, f2))
+    y = np.array([(x2 - k2) - (x1 - k1) for x1, k1, x2, k2 in zip(f1, c1, f2, c2)])
+    box = _UNIT_BOX_F[n]
+    # The scan offsets, float64 integers so that y + scan casts nothing: the
+    # unit box (its middle row is t itself), then the nonzero proper subset
+    # sums of the obtuse superbase.
     offsets = np.concatenate((box, voronoi._TABLES[n][0] @ red.superbase.T))
     scan = offsets  # t + offsets, from t = 0
     for _ in range(_MAX_DESCENT + 1):
@@ -285,7 +310,7 @@ def min_image_distance(b: Basis, p1, p2) -> DistanceResult:
     else:
         raise ReductionNonConvergence(
             f"minimum-image descent did not converge in {_MAX_DESCENT} steps")
-    k, img = _pick_image(dd, (scan + (w[0] - w[1])) @ red.transform.T)
+    k, img = _least_image(dd, scan, [a - b for a, b in zip(c1, c2)], red.transform)
     return DistanceResult(distance=math.sqrt(dd[k]), image=LatticeVector(img))
 
 
@@ -469,7 +494,7 @@ def neighbor_arrays(ps: PeriodicPointSet, cutoff: float
         e = by_class[e]
         keep = (k != zero) | (i[e] != j[e])
         e, k, d = e[keep], k[keep], d[keep]
-        order = _hit_order(e, d, row_key[k])
+        order = _hit_order(e, d, row_key[k], len(i))
         e, k, d = e[order], k[order], d[order]
         parts.append((i[e], j[e], k, d))
     # Hits in order, written into arrays sized from the ranges' counts.
@@ -543,15 +568,15 @@ def _image_keys(img: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index((img - lo).T, dims)
 
 
-def _hit_order(pair: np.ndarray, d: np.ndarray, key: np.ndarray) -> np.ndarray:
+def _hit_order(pair: np.ndarray, d: np.ndarray, key: np.ndarray, count: int) -> np.ndarray:
     """The permutation ``np.lexsort((key, d, pair))``, from one float and one
-    integer sort: pair then distance rank as one int64 key, then every run
-    of equal (pair, d) put in key order.  pair indexes the entries of one
-    row range, fewer than max(_CHUNK, N), and a range has at most
-    _MAX_IMAGES hits per entry, so the key cannot overflow."""
-    rank = np.empty(len(d), dtype=np.int64)
-    rank[np.argsort(d)] = np.arange(len(d))
-    order = np.argsort(pair * len(d) + rank)
+    integer sort: the distances first, then a stable sort of the pair
+    index, then every run of equal (pair, d) put in key order.  pair
+    indexes the ``count`` entries of one row range, so it is cast to the
+    smallest unsigned type that holds ``count``, uint16 within ``_CHUNK``,
+    which numpy sorts stably by radix."""
+    order = np.argsort(d)
+    order = order[np.argsort(pair[order].astype(np.min_scalar_type(count)), kind="stable")]
     p, dd = pair[order], d[order]
     same = (p[1:] == p[:-1]) & (dd[1:] == dd[:-1])
     if same.any():

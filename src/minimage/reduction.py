@@ -12,9 +12,22 @@ superbase (v1, v2, v3, -v1-v2-v3) of the 3D Selling iteration: while any
 of its six pairwise inner products is positive, the worst pair is flipped,
 which strictly decreases the norm-square sum.  The vectors attaining the
 successive minima then have coefficients in {-1, 0, 1} with respect to the
-superbase, so one array pass over the unimodular triples of those
-candidates finds every shortest triple, ties within NORM_TIE included, and
-one ranking over all tied triples, orderings and signings picks among them.
+superbase, so the unimodular triples of those 13 candidates hold every
+shortest triple, and one ranking over all tied triples, orderings and
+signings picks among them.  The tied triples are those whose sorted norm
+profile ties the lexicographic minimum within NORM_TIE.  The common case
+is one of them, and a pick over the 13 norms finds it in three steps
+(shortest candidate, shortest partner, shortest completion); a runner-up
+within NORM_TIE at any step hands the choice to one array pass over the
+profiles of all 145 triples, so the triples are those the pass keeps on
+every input, and ties are resolved by the ranking, not by rounding.
+
+Every float product keeps one numpy expression whatever the path (the
+Cartesian rows ``m @ z``, the dot products, ``c.T @ c``, the roots), since
+the same product formed in Python can round differently; the decisions
+and the integer bookkeeping around them run in Python.  Integer
+coefficients and the Selling superbase are carried as float64 (exact below
+2**53), so the products with ``m`` cast nothing.
 
 The ranking keys of a signing s are its acute count, its worst acute
 cosine and its negated flattened Cartesian tuple.  The first two depend on
@@ -23,15 +36,16 @@ of -s is the negation of that of s: between the two, the winner makes the
 first nonzero Cartesian entry of the first column positive.  So when one
 set ties and its norms strictly increase (the common case; in 2D, every
 pair whose two norms differ), there is one ordering and 2^(n-1) signings
-to rank, and Python compares over the cosines, computed once with the
-array pass's products and roots, rank them with the same bits.  Several
-tied sets or equal norms (cubic, square, FCC) take the array pass.
+to rank, and Python compares over the cosines, computed with the array
+pass's products and roots, rank them with the same bits.  Several tied
+sets or equal norms (cubic, square, FCC) take the array pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +108,14 @@ def reduce(b: Basis) -> ReducedBasis:
     returned, and is_reduced reports it as not fully reduced.
     """
     m = b.matrix
-    vecs, carts, n2 = _gauss_columns(m)
     if b.dim == 2:
-        u = _ranked_config(vecs, carts, n2, _PAIR)
+        u = _ranked_config(*_gauss_columns(m), _PAIR)
     else:
-        s, vecs, carts, n2, sets = _selling_shortest_triples(m, vecs)
+        s, vecs, carts, n2, sets = _selling_shortest_triples(m, _gauss_columns(m)[0])
         u = _ranked_config(vecs, carts, n2, sets)
     uinv = unimodular_inverse(u)
     # A 2D superbase is the obtuse basis and minus its sum.
-    superbase = _START[2] if b.dim == 2 else uinv @ s
+    superbase = _START_2D if b.dim == 2 else uinv @ s
     for t in (u, uinv, superbase):
         t.flags.writeable = False
     return ReducedBasis(basis=Basis(m @ u), transform=u, superbase=superbase, inverse=uinv)
@@ -132,17 +145,22 @@ def is_reduced(b: Basis) -> bool:
 _SHORTNESS = {n: int_box((_SHORTNESS_BOX,) * n) for n in (2, 3)}
 
 
-def _gauss_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gauss_columns(m: np.ndarray):
     """Pairwise Lagrange-Gauss reduction of the columns of ``m``.
 
     Columns stay in ascending norm.  Column k is rounded against each
     shorter column in turn; if the result is no shorter than column k - 1
     the steps move on to column k + 1, otherwise it drops to its place and
-    the steps resume there.  For n = 2 this is Lagrange-Gauss.  Returns the
-    columns as coefficient rows, their Cartesian rows and their squared
-    norms, with the bits of the 1-D products ``m @ z`` and ``c @ c``: each
-    column carries its Cartesian row, recomputed only when a nonzero
-    rounding step moves it.
+    the steps resume there.  For n = 2 this is Lagrange-Gauss.  Each column
+    carries its Cartesian row, with the bits of the 1-D product ``m @ z``,
+    recomputed only when a nonzero rounding step moves it, and its squared
+    norm ``c @ c``.  Coefficient rows are carried as float64, integers that
+    are exact below 2**53, so ``m @ w`` casts nothing.
+
+    In 2D this returns the coefficient rows as int64, the Cartesian rows
+    and the squared norms; in 3D the coefficient rows as float64 and None
+    for the other two, since Selling reads nothing else, and its
+    ``m @ s`` then casts nothing either.
     """
     eye = _EYE[len(m)]
     carts = matvecs(m, eye)
@@ -151,7 +169,9 @@ def _gauss_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for _ in range(MAX_ITERATIONS):
         if k == len(cols):
             n2, vecs, carts = zip(*cols)
-            return np.array(vecs), np.array(carts), np.array(n2)
+            if len(cols) == 3:
+                return np.array(vecs), None, None
+            return np.array(vecs, dtype=np.int64), np.array(carts), np.array(n2)
         v2, v, cv = cols.pop(k)
         w, cw = v, cv
         for u2, u, cu in cols[:k]:
@@ -183,16 +203,24 @@ def _selling_shortest_triples(m: np.ndarray, start: np.ndarray):
     candidates as coefficient rows in the input basis, with their Cartesian
     rows and squared norms (the bits of ``matvecs`` and ``row_dots``); and
     the index rows of every unimodular triple whose sorted norm profile
-    ties the lexicographic minimum within NORM_TIE.
+    ties the lexicographic minimum within NORM_TIE.  The superbase is
+    carried as float64 (exact integers), so each step is one float matrix
+    product on it and ``m @ s`` casts nothing.
+
+    The common case is one such triple, which :func:`_untied_triple`
+    picks from the 13 norms in three steps, each with its own NORM_TIE
+    window.  A runner-up inside any window takes the array pass over the
+    sorted norm profiles of all 145 triples, and the pick keeps exactly
+    the row that pass would, so the rows are the pass's on every input.
     """
-    s = start.T @ _START[3]
+    s = start.T @ _START_3D
     for _ in range(MAX_ITERATIONS):
         c = m @ s
         gram = (c.T @ c).tolist()
         # Flip the pair with the largest inner product above the snap, the
         # first in (i, j) order on a tie.
         best, flip = 0.0, None
-        for (i, j), f in _FLIPS:
+        for i, j, f in _FLIPS:
             g = gram[i][j]
             if g > best and g > COS_SNAP * (math.sqrt(gram[i][i]) * math.sqrt(gram[j][j])):
                 best, flip = g, f
@@ -204,46 +232,100 @@ def _selling_shortest_triples(m: np.ndarray, start: np.ndarray):
             f"Selling iteration did not converge in {MAX_ITERATIONS} steps"
         )
 
+    s = s.astype(np.int64)
     w = _CANDIDATES @ s[:, :3].T
     carts = matvecs(m, w)
     n2 = row_dots(carts, carts)
-    profiles = np.sort(np.sqrt(n2)[_TRIPLES], axis=1)
-    # The tie-aware lexicographic minimum; the first row at each running
-    # minimum survives its filter, so the result is never empty.
-    keep = np.ones(len(_TRIPLES), dtype=bool)
-    for col in profiles.T:
-        keep &= col <= col[keep].min() * (1.0 + NORM_TIE)
-    return s, w, carts, n2, _TRIPLES[keep]
+    roots = np.sqrt(n2)
+    sets = _untied_triple(roots.tolist())
+    if sets is None:
+        profiles = np.sort(roots[_TRIPLES], axis=1)
+        # The tie-aware lexicographic minimum; the first row at each running
+        # minimum survives its filter, so the result is never empty.
+        keep = np.ones(len(_TRIPLES), dtype=bool)
+        for col in profiles.T:
+            keep &= col <= col[keep].min() * (1.0 + NORM_TIE)
+        sets = _TRIPLES[keep]
+    return s, w, carts, n2, sets
 
 
-# Per dimension: the identity, and the superbase (e_1, ..., e_n, -sum e_i).
-_EYE = {n: np.eye(n, dtype=np.int64) for n in (2, 3)}
-_START = {n: np.hstack([_EYE[n], -np.ones((n, 1), dtype=np.int64)]) for n in (2, 3)}
-# Every 2D ReducedBasis shares its superbase.
-for _t in _START.values():
-    _t.flags.writeable = False
+def _untied_triple(roots: list) -> np.ndarray | None:
+    """The index row of the one shortest unimodular triple of the candidate
+    norms ``roots``, as the array pass keeps it, or None on a tie.
+
+    The pick takes the shortest candidate a, then the shortest b that forms
+    a unimodular triple with a, then the shortest c that completes one with
+    (a, b).  It returns None when at some step the runner-up lies within
+    the pick times 1 + NORM_TIE.  Otherwise the array pass keeps exactly the
+    same triple.  Its first filter keeps the profiles whose least norm is
+    within the window of r_a: only triples holding a.  Among those the
+    second column is the lesser norm of the other two members, so the
+    second filter keeps only the triples that also hold b, and the third
+    column is then the norm of the third member, which only c brings within
+    the window.  So the index rows equal the array pass's on every input,
+    and any tie takes that pass.
+    """
+    a = _lone_least(roots, _ALL)
+    if a is None:
+        return None
+    b = _lone_least(roots, _PARTNERS[a])
+    if b is None:
+        return None
+    c = _lone_least(roots, _THIRDS[a][b])
+    if c is None:
+        return None
+    return np.array([sorted((a, b, c))])
+
+
+def _lone_least(roots: list, within: list) -> int | None:
+    """The index in ``within`` of the least of its ``roots``, or None when
+    a second one lies within NORM_TIE of it, as the array pass's filters
+    compare: at most the least times 1 + NORM_TIE."""
+    rs = [roots[i] for i in within]
+    least = min(rs)
+    if sorted(rs)[1] <= least * (1.0 + NORM_TIE):
+        return None
+    return within[rs.index(least)]
+
+
+# Per dimension, the identity as float64.  The superbase (e_1, ..., e_n,
+# -sum e_i): in 3D as float64, where Selling starts from it, and in 2D as
+# int64, where every ReducedBasis shares it.
+_EYE = {n: np.eye(n) for n in (2, 3)}
+_START_3D = np.hstack([_EYE[3], -np.ones((3, 1))])
+_START_2D = np.array([[1, 0, -1], [0, 1, -1]])
+_START_2D.flags.writeable = False
 # The one index pair a 2D basis is ranked over.
 _PAIR = np.array([[0, 1]])
 
 # The 13 vectors of {-1, 0, 1}^3 with a positive first nonzero entry, and
 # the index triples of those with determinant +-1.  The superbase is
-# unimodular, so it keeps these triples.
+# unimodular, so it keeps these triples.  For the pick: all 13 indices;
+# per index a, its partners b, those that form a triple with it, and per
+# partner the indices that complete a triple with (a, b).
 _CANDIDATES = int_box((1, 1, 1))[14:]
 _TRIPLES = np.array(list(itertools.combinations(range(13), 3)))
 _TRIPLES = _TRIPLES[np.abs(int_dets(_CANDIDATES[_TRIPLES])) == 1]
+_ALL = list(range(13))
+_THIRDS = [{} for _ in _ALL]
+for _t in _TRIPLES.tolist():
+    for _a, _b in itertools.permutations(_t, 2):
+        _THIRDS[_a].setdefault(_b, []).append(sum(_t) - _a - _b)
+_PARTNERS = [sorted(thirds) for thirds in _THIRDS]
 
 
 def _selling_step(i: int, j: int) -> np.ndarray:
-    """Integer matrix of the Selling step on the superbase pair (i, j):
-    column i is added to the two columns other than i and j, then negated."""
-    f = np.eye(4, dtype=np.int64)
+    """Matrix of the Selling step on the superbase pair (i, j), float64 and
+    exact: column i is added to the two columns other than i and j, then
+    negated."""
+    f = np.eye(4)
     f[i] = [x not in (i, j) for x in range(4)]
     f[i, i] = -1
     return f
 
 
 # The six superbase pairs i < j in (i, j) order, each with its step.
-_FLIPS = [((i, j), _selling_step(i, j)) for i, j in itertools.combinations(range(4), 2)]
+_FLIPS = [(i, j, _selling_step(i, j)) for i, j in itertools.combinations(range(4), 2)]
 
 
 # Per dimension: orderings and signings in tie-break order, and pairs a < b;
@@ -288,29 +370,35 @@ def _ranked_config(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,
 def _ranked_untied(vecs: np.ndarray, carts: np.ndarray, norms: list,
                    idx: list) -> np.ndarray:
     """The ranking of :func:`_ranked_config` for the one ordering ``idx``
-    (norms strictly increasing).  The cosines take one ``row_dots`` call and
+    (norms strictly increasing).  The cosines take 1-D dot products and
     ``x ** 0.5`` roots, the operations the array pass does element by
-    element, and a sign flip is exact, so the ranks carry its bits.  -0.0
-    and 0.0 compare equal here as in ``lexsort``."""
+    element, and a sign flip is exact, so the ranks carry its bits.  Only
+    signings tied on the first two keys compare their Cartesian tuples,
+    where -0.0 and 0.0 compare equal as in ``lexsort``.  The columns are
+    built from the Python rows of the chosen coefficient rows."""
     n = len(idx)
-    a, b = ([idx[i] for i in side] for side in _PAIRS[n])
-    dots = row_dots(carts.take(a, axis=0), carts.take(b, axis=0)).tolist()
-    cosines = [g / (norms[i] * norms[j]) ** 0.5 for g, i, j in zip(dots, a, b)]
-    rows = [carts[i].tolist() for i in idx]
-    first = 1 if next(x for x in rows[0] if x) > 0 else -1
-
-    def key(signs):
-        return [-first * s * x for s, row in zip(signs, rows) for x in row]
-
-    best = best_rank = None
+    c = carts.take(idx, axis=0)
+    cosines = [float(c[i] @ c[j]) / (norms[idx[i]] * norms[idx[j]]) ** 0.5
+               for i, j in zip(*_PAIRS[n])]
+    # The signings least on the first two keys: fewest acute pairs, then
+    # the least worst acute cosine (every acute cosine exceeds 0.0).
+    least = tied = None
     for signs, products in _SIGNINGS[n]:
-        acute = [x for x in (c * p for c, p in zip(cosines, products)) if x > COS_SNAP]
-        rank = (len(acute), max(acute, default=0.0))
-        if best is None or rank < best_rank or rank == best_rank and key(signs) < key(best):
-            best, best_rank = signs, rank
-    v = vecs.tolist()
-    return np.array([[first * s * v[i][k] for s, i in zip(best, idx)] for k in range(n)],
-                    dtype=np.int64)
+        count, worst = 0, 0.0
+        for x in map(operator.mul, cosines, products):
+            if x > COS_SNAP:
+                count += 1
+                worst = max(worst, x)
+        if least is None or (count, worst) < least:
+            least, tied = (count, worst), [signs]
+        elif (count, worst) == least:
+            tied.append(signs)
+    rows = c.tolist()
+    first = 1 if next(x for x in rows[0] if x) > 0 else -1
+    best = tied[0] if len(tied) == 1 else min(
+        tied, key=lambda signs: [-first * s * x for s, row in zip(signs, rows) for x in row])
+    cols = [[first * s * x for x in row] for s, row in zip(best, vecs.take(idx, axis=0).tolist())]
+    return np.array(list(zip(*cols)), dtype=np.int64)
 
 
 def _ranked_array(vecs: np.ndarray, carts: np.ndarray, n2: np.ndarray,

@@ -17,9 +17,11 @@ vertices however small it is, and no lattice raises DegenerateCell.
 and keeps the read-only build on it, as ``Basis`` keeps ``det`` and
 ``inv``: every public reader on that object reads the same build, and a
 second ``Basis`` of the same matrix builds again.  ``relevant_vectors``
-restates the kept relevant vectors in the caller's coordinates, and every
-other restatement goes through it.  Only ``voronoi_cell`` measures the
-facets, in one pass over (facet, tight vertex) arrays.
+restates the kept relevant vectors in the caller's coordinates once per
+``Basis`` object, keeps the read-only ``RelevantVectorSet`` in its
+``__dict__`` beside the build and hands each caller a copy; every other
+reader goes through it.  Only ``voronoi_cell`` measures the facets, in one
+pass over (facet, tight vertex) arrays.
 """
 
 from __future__ import annotations
@@ -207,10 +209,21 @@ def relevant_vectors(b: Basis) -> RelevantVectorSet:
     They are the relevant subset sums of the obtuse superbase that the
     shared build of ``b`` keeps in reduced coordinates, restated in the
     coordinates of ``b``; the first reader of a ``Basis`` makes the build.
+    The restated set is kept, read-only, in the ``__dict__`` of ``b``
+    beside the build, so each ``Basis`` object restates once; every call
+    returns its own copy of it.
     """
-    p = _prepare(b)
+    rel = b.__dict__.get("_relevant")
+    if rel is None:
+        rel = b.__dict__["_relevant"] = _restate(_prepare(b), b.matrix)
+    return RelevantVectorSet(vectors=rel.vectors, cartesians=rel.cartesians)
+
+
+def _restate(p: _Prepared, m: np.ndarray) -> RelevantVectorSet:
+    """The relevant vectors of the build ``p`` in the coordinates of the
+    basis ``m``: canonical signs, in (norm, coefficient) order."""
     t = canonical_rows(np.array(p.relevant) @ p.red.transform.T)
-    order, carts = _by_norm(b.matrix, t)
+    order, carts = _by_norm(m, t)
     return RelevantVectorSet(vectors=tuple(LatticeVector(tuple(r)) for r in t[order].tolist()),
                              cartesians=carts)
 

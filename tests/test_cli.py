@@ -627,6 +627,32 @@ def test_cell_and_lattice_dimensions_must_match(capsys, tmp_path, cmd):
     assert "error:" in capsys.readouterr().err
 
 
+# The lattice sources in the order the CLI reads them: a file, then cell
+# parameters, then an inline matrix; the first one given is used.  Each
+# names another lattice, two of them in 2D and one in 3D.
+LATTICE_SOURCES = {
+    "file": ["--lattice-file", "lat.json"],
+    "cell-params": ["--cell-params", "1 1.5 2 90 90 90"],
+    "inline": ["--lattice", "1 0 0 1"],
+}
+
+
+@pytest.mark.parametrize("given", [("file", "cell-params"), ("file", "inline"),
+                                   ("cell-params", "inline"), tuple(LATTICE_SOURCES)],
+                         ids="+".join)
+def test_the_first_lattice_source_in_order_is_read(capsys, tmp_path, monkeypatch, given):
+    """``--lattice-file`` overrides ``--cell-params``, which overrides
+    ``--lattice``, even of the other dimension, with exit 0."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lat.json").write_text(json.dumps({"dim": 2, "columns": [[2.0, 0.0],
+                                                                          [0.0, 3.0]]}))
+    alone = {name: run_json(capsys, ["reduce", *argv]) for name, argv in LATTICE_SOURCES.items()}
+    assert len({json.dumps(out) for out in alone.values()}) == 3
+    for argv in (given, given[::-1]):
+        got = run_json(capsys, ["reduce", *(a for name in argv for a in LATTICE_SOURCES[name])])
+        assert got == alone[given[0]]
+
+
 def test_points_file_with_wrong_label_count_is_usage_error(capsys, tmp_path):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"frac": [[0.1, 0.2], [0.5, 0.5]], "labels": ["a"]}))

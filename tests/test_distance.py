@@ -746,6 +746,25 @@ def test_one_row_past_the_chunk_in_one_class(monkeypatch):
     assert_same_arrays(distance.neighbor_arrays(ps, 0.5), reference_neighbor_arrays(ps, 0.5))
 
 
+@pytest.mark.parametrize("count, hits", [(1, 5), (7, 40), (300, 5000), (distance._CHUNK, 60000),
+                                         (2 ** 16 + 5000, 90000)])
+def test_hit_order_is_the_lexsort(count, hits):
+    """Hits of one row range in (pair, distance, image key) order: the
+    distances come from a few values, so d repeats within and across
+    pairs and (pair, d) repeats with distinct keys; the last range is one
+    row of more than 2**16 entries, whose pair index needs 32 bits."""
+    rng = np.random.default_rng(count)
+    pair = rng.integers(0, count, hits)
+    pair[:2] = count - 1  # the largest index the range holds
+    d = rng.choice([0.5, 1.0, 1.0 + 2.0 ** -52, 2.0], hits)
+    key = rng.permutation(hits)  # distinct, as the images of one pair are
+    # Within _CHUNK the pair index is sorted as uint8 or uint16, by radix.
+    width = np.min_scalar_type(count).itemsize
+    assert width == (1 if count < 256 else 2 if count <= distance._CHUNK else 4)
+    got = distance._hit_order(pair, d, key, count)
+    assert np.array_equal(got, np.lexsort((key, d, pair)))
+
+
 # --- non-finite input ---------------------------------------------------------
 
 
@@ -865,11 +884,20 @@ def block_scan(red, t, p1, p2):
     return np.einsum("ij,ij->i", cart, cart), (t + (w1 - w2)[None, :]) @ red.transform.T
 
 
+def pick_image(dd, images):
+    """The tie rule over a whole block: index and coefficients of the
+    lexicographically least image within the tie window of the minimum."""
+    tied = np.flatnonzero(dd <= float(dd.min()) * (1.0 + 2.0 * distance.TIE_REL))
+    rows = images[tied].tolist()
+    best = min(range(len(rows)), key=rows.__getitem__)
+    return int(tied[best]), tuple(rows[best])
+
+
 def block_min_image(red, t, p1, p2):
     """min_image_distance as it was before the descent: the whole block t,
     the same expression and the same tie rule."""
     dd, images = block_scan(red, t, p1, p2)
-    k, img = distance._pick_image(dd, images)
+    k, img = pick_image(dd, images)
     return math.sqrt(dd[k]).hex(), img
 
 
@@ -1007,7 +1035,7 @@ def test_elongated_cells_match_a_four_layer_block(c):
         row = np.flatnonzero(np.all(images == got.image.coeffs, axis=1))
         assert len(row) == 1 and math.sqrt(dd[row[0]]) == got.distance
         assert dd[row[0]] <= dd.min() * (1 + 2 * distance.TIE_REL)
-        assert dd[row[0]] <= dd[distance._pick_image(dd, images)[0]]
+        assert dd[row[0]] <= dd[pick_image(dd, images)[0]]
 
 
 @pytest.mark.parametrize("seed", [7, 20, 53, 69, 99, 156, 183])

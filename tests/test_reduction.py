@@ -292,3 +292,169 @@ def test_ranking_half_the_signings_matches_the_full_pass(m):
     # Frames with exactly equal norms or several sets take the array pass
     # in reduce itself; rounding unties the norms of some 2D frames.
     assert tied >= 10
+
+
+# --- the pick of one untied shortest triple against the profile pass --------
+# The pick reads the 13 candidate norms in three steps and hands every tie
+# within NORM_TIE to the array pass; the pass it replaced is kept here as the
+# reference its rows must equal.
+
+BCT = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.7]])
+TIE_FACTORS = (0.25, 0.99, 1.01, 4.0)
+
+
+def profile_pass(roots):
+    """Index rows of every unimodular triple whose sorted norm profile ties
+    the lexicographic minimum within NORM_TIE (the tie-aware filter kept
+    from before the pick)."""
+    triples = mi.reduction._TRIPLES
+    profiles = np.sort(np.asarray(roots)[triples], axis=1)
+    keep = np.ones(len(triples), dtype=bool)
+    for col in profiles.T:
+        keep &= col <= col[keep].min() * (1.0 + mi.reduction.NORM_TIE)
+    return triples[keep]
+
+
+def random_cell_params(rng) -> mi.Basis | None:
+    try:
+        return mi.cell_params_to_basis(*rng.uniform(0.5, 2.0, 3), *rng.uniform(60.0, 120.0, 3))
+    except mi.InvalidCellParameters:
+        return None
+
+
+def pick_corpus() -> dict:
+    """Group name -> bases: seeded conditioned bases in 2D and 3D at
+    condition number 1 to 1e6, bases from random cell parameters, and seven
+    tied lattices in 60 random unimodular frames each."""
+    rng = np.random.default_rng(29)
+    groups = {f"cond-{n}d": [random_cond_basis(rng, n, 10 ** rng.uniform(0.0, 6.0))
+                             for _ in range(80)] for n in (2, 3)}
+    groups["cell-params"] = [b for b in (random_cell_params(rng) for _ in range(80)) if b]
+    for name, m in (("fcc", FCC), ("bcc", BCC), ("cube", np.eye(3)),
+                    ("hexagonal-prism", HEX_PRISM), ("bct", BCT),
+                    ("hexagonal-2d", HEX_2D), ("square", np.eye(2))):
+        groups[name] = [mi.validate_basis(m @ random_unimodular(rng, len(m)))
+                        for _ in range(60)]
+    return groups
+
+
+def reduced_bytes(red) -> tuple:
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                 (red.basis.matrix, red.transform, red.superbase, red.inverse))
+
+
+@pytest.mark.parametrize("group", pick_corpus())
+def test_the_pick_keeps_the_profile_pass_rows_and_reduce_bytes(monkeypatch, group):
+    """On every basis the triples ``_selling_shortest_triples`` returns are
+    the profile pass's rows, and ``reduce`` returns the bytes it returns
+    when the profile pass picks the triples and the pass over all signings
+    ranks them.  Generic 3D bases take the pick; tied lattices fall back."""
+    red = mi.reduction
+    bases = pick_corpus()[group]
+    picked = 0
+    for b in bases:
+        if b.dim == 3:
+            vecs = red._gauss_columns(b.matrix)[0]
+            *_, n2, sets = red._selling_shortest_triples(b.matrix, vecs)
+            want = profile_pass(np.sqrt(n2))
+            assert sets.dtype == want.dtype and np.array_equal(sets, want)
+            picked += red._untied_triple(np.sqrt(n2).tolist()) is not None
+    fast = [reduced_bytes(mi.reduce(b)) for b in bases]
+    monkeypatch.setattr(red, "_untied_triple", lambda roots: profile_pass(roots))
+    monkeypatch.setattr(red, "_ranked_config", full_ranked_array)
+    assert [reduced_bytes(mi.reduce(b)) for b in bases] == fast
+    if group in ("cond-3d", "cell-params"):
+        assert picked == len(bases)
+    elif group in ("fcc", "bcc", "cube", "hexagonal-prism", "bct"):
+        assert picked == 0
+
+
+def staged_near_tie(step: int, factor: float) -> tuple[list, list]:
+    """Candidate norms with a near-tie at one step of the pick: the
+    runner-up at that step is the pick times 1 + factor NORM_TIE.  Returns
+    the norms and the triple the pick would take if it ignored the tie.
+
+    The tied candidate leads to a triple with a shorter third member than
+    any the pick's candidate forms (at step 1 it forms no triple with a, at
+    step 2 none with (a, b)), so only the window tells the rows the array
+    pass keeps."""
+    red = mi.reduction
+    tie = 1.0 + factor * red.NORM_TIE
+    roots = [2.0 + 0.01 * k for k in range(13)]
+    if step == 1:
+        a, a2, b, c2 = next((a, a2, b, c2) for a in range(13) for a2 in range(13)
+                            if a2 != a and a2 not in red._PARTNERS[a]
+                            for b in red._PARTNERS[a] if b in red._PARTNERS[a2]
+                            for c2 in red._THIRDS[a2][b] if c2 not in red._THIRDS[a][b])
+        roots[a], roots[a2], roots[b], roots[c2] = 1.0, tie, 1.2, 1.5
+    elif step == 2:
+        a, b, b2, c2 = next((a, b, b2, c2) for a in range(13)
+                            for b in red._PARTNERS[a] for b2 in red._PARTNERS[a]
+                            if b2 != b and b2 not in red._THIRDS[a][b]
+                            for c2 in red._THIRDS[a][b2] if c2 not in red._THIRDS[a][b])
+        roots[a], roots[b], roots[b2], roots[c2] = 1.0, 1.2, 1.2 * tie, 1.5
+    else:
+        a = 0
+        b = red._PARTNERS[a][0]
+        c, c2 = red._THIRDS[a][b][:2]
+        roots[a], roots[b], roots[c], roots[c2] = 1.0, 1.2, 1.5, 1.5 * tie
+    a = min(range(13), key=roots.__getitem__)
+    b = min(red._PARTNERS[a], key=roots.__getitem__)
+    c = min(red._THIRDS[a][b], key=roots.__getitem__)
+    return roots, sorted((a, b, c))
+
+
+@pytest.mark.parametrize("factor", TIE_FACTORS)
+@pytest.mark.parametrize("step", (1, 2, 3))
+def test_a_near_tie_at_each_step_of_the_pick(step, factor):
+    """The rows ``_selling_shortest_triples`` would keep, the pick's or on
+    a tie the pass's, are the pass's.  Inside the window (0.25 and 0.99
+    NORM_TIE) the pick falls back, and the argmin triple it would otherwise
+    take is not the pass's answer; outside it (1.01 and 4 NORM_TIE) the
+    pick runs."""
+    roots, argmin_triple = staged_near_tie(step, factor)
+    want = profile_pass(roots)
+    got = mi.reduction._untied_triple(roots)
+    kept = profile_pass(roots) if got is None else got
+    assert kept.dtype == want.dtype and np.array_equal(kept, want)
+    assert (got is None) == (factor < 1.0)
+    assert (want.tolist() == [argmin_triple]) == (factor > 1.0)
+
+
+def near_tie_bases(step: int, factor: float) -> list[mi.Basis]:
+    """Lattices whose two shortest candidates at one step differ by the
+    factor times NORM_TIE, in 10 random rotations each: orthorhombic cells
+    with two near-equal edges (steps 1 and 2), and a cell whose third edge
+    leans so that e3 and e3 - e1 nearly tie (step 3)."""
+    tie = 1.0 + factor * mi.reduction.NORM_TIE
+    if step == 1:
+        m = np.diag([1.0, tie, 1.7])
+    elif step == 2:
+        m = np.diag([1.0, 1.3, 1.3 * tie])
+    else:
+        # |e3|^2 - |e3 - e1|^2 = 2 x - 1 gives |e3| = |e3 - e1| tie.
+        h = 1.6
+        x = 0.5 + 0.5 * (tie ** 2 - 1.0) * (0.25 + h * h)
+        m = np.column_stack([(1.0, 0.0, 0.0), (0.0, 1.3, 0.0), (x, 0.0, h)])
+    rng = np.random.default_rng((step, int(factor * 100)))
+    return [mi.validate_basis(np.linalg.qr(rng.normal(size=(3, 3)))[0] @ m) for _ in range(10)]
+
+
+@pytest.mark.parametrize("factor", TIE_FACTORS)
+@pytest.mark.parametrize("step", (1, 2, 3))
+def test_near_tied_lattices_keep_the_profile_pass_rows(monkeypatch, step, factor):
+    """The pick falls back inside the window and runs outside it, and either
+    way gives the profile pass's rows and the reference reduce's bytes."""
+    red = mi.reduction
+    bases = near_tie_bases(step, factor)
+    for b in bases:
+        *_, n2, sets = red._selling_shortest_triples(b.matrix, red._gauss_columns(b.matrix)[0])
+        assert np.array_equal(sets, profile_pass(np.sqrt(n2)))
+    fast = [reduced_bytes(mi.reduce(b)) for b in bases]
+    monkeypatch.setattr(red, "_untied_triple", lambda roots: profile_pass(roots))
+    monkeypatch.setattr(red, "_ranked_config", full_ranked_array)
+    assert [reduced_bytes(mi.reduce(b)) for b in bases] == fast
+    monkeypatch.undo()
+    for b in bases:
+        n2 = red._selling_shortest_triples(b.matrix, red._gauss_columns(b.matrix)[0])[3]
+        assert (red._untied_triple(np.sqrt(n2).tolist()) is None) == (factor < 1.0)

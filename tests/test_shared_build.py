@@ -135,6 +135,30 @@ def test_render_reduces_once(stage_calls, tmp_path):
     assert stage_calls == Counter(reduce=1, vertices=1, validate=0, inverse=1)
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_each_basis_restates_its_relevant_vectors_once(monkeypatch, tmp_path, n):
+    """The readers of the relevant vectors (``relevant_vectors`` itself,
+    ``voronoi_cell`` and, in 2D, ``render_2d``) restate the build's vectors
+    once per ``Basis`` object: a second pass on it restates nothing, and an
+    equal ``Basis`` restates again."""
+    calls = counted(monkeypatch, voronoi, "_restate")
+    m = random_cond_basis(np.random.default_rng(7), n, 1e2).matrix
+
+    def readers(b):
+        voronoi.relevant_vectors(b)
+        voronoi.voronoi_cell(b)
+        cells.check_cell(b, b)
+        if n == 2:
+            render.render_2d(b, None, tmp_path / "cell.svg")
+
+    b = mi.Basis(m)
+    for _ in range(2):
+        readers(b)
+        assert calls == Counter(_restate=1)
+    readers(mi.Basis(m))
+    assert calls == Counter(_restate=2)
+
+
 def test_check_cell_counts_equal_copy_counts():
     """check_cell and copy_counts read the same vertex set, so h is equal
     as floats, not just close."""
